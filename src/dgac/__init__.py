@@ -14,10 +14,8 @@ from .linalg import (
     LinearSolveConfig,
     LinearSolveError,
     EigenResult,
-    coo_to_csr,
     solve_linear,
     smallest_generalized_eigenvalue,
-    dump_matrix_market,
 )
 from .timebase import TimePartition, TimeBasis, DgTimeOperators, make_time_basis
 from .characteristic import (

@@ -66,6 +66,19 @@ def _error_json(kind: str, message: str, **extra) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
+def _solver_error_json(exc: Exception, message: str | None = None, **extra) -> str:
+    """Solver error line carrying the evidence of the failure.
+
+    A NewtonError adds its residual history, a LinearSolveError the
+    relative residual it reached (null if none was computed).
+    """
+    if isinstance(exc, NewtonError):
+        extra["history"] = list(exc.history)
+    elif isinstance(exc, LinearSolveError):
+        extra["achieved_residual"] = exc.achieved_residual
+    return _error_json("solver", str(exc) if message is None else message, **extra)
+
+
 def _write_manifest(outdir: str, run_id: str, cfg: RunConfig, command: str,
                     outputs: list[str], extra: dict | None = None) -> str:
     doc = {
@@ -110,7 +123,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
         sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
                             newton_cfg=disc.newton, lin_cfg=disc.linear)
     except SOLVER_ERRORS as exc:
-        print(_error_json("solver", str(exc), config_hash=config_hash(cfg)))
+        print(_solver_error_json(exc, config_hash=config_hash(cfg)))
         return EXIT_SOLVER
     n_cells = disc.space.mesh.n_elements
     outputs = []
@@ -183,7 +196,7 @@ def cmd_convergence(cfg: RunConfig, outdir: str, levels: int, refine: str) -> in
             sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
                                 newton_cfg=disc.newton, lin_cfg=disc.linear)
         except SOLVER_ERRORS as exc:
-            failed = (level, str(exc))
+            failed = (level, exc, config_hash(cfg_l))
             break
         err = compute_norms(sol, reference=disc.problem.exact)
         errors.append(err)
@@ -208,8 +221,9 @@ def cmd_convergence(cfg: RunConfig, outdir: str, levels: int, refine: str) -> in
     if failed is not None:
         extra["failed_level"] = failed[0]
         _write_manifest(outdir, run_id, cfg, "convergence", [csv_path], extra)
-        print(_error_json("solver", f"level {failed[0]} failed: {failed[1]}",
-                          partial_table=csv_path))
+        level, exc, level_hash = failed
+        print(_solver_error_json(exc, f"level {level} failed: {exc}",
+                                 partial_table=csv_path, config_hash=level_hash))
         return EXIT_SOLVER
     _write_manifest(outdir, run_id, cfg, "convergence", [csv_path], extra)
     print(f"convergence table written to {csv_path}")
@@ -377,7 +391,7 @@ def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
         reports.append(_projection_moment_entry(cfg, disc, chash))
         reports.append(_characteristic_entry(cfg, chash))
     except SOLVER_ERRORS as exc:
-        print(_error_json("solver", str(exc), config_hash=chash))
+        print(_solver_error_json(exc, config_hash=chash))
         return EXIT_SOLVER
     path = os.path.join(outdir, f"{run_id}_identities.json")
     with open(path, "w") as fh:
@@ -419,7 +433,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str, samples: int) -> int:
         trace = spectrum_along_solution(sol, disc.space, times, cfg.epsilon,
                                         ops=disc.ops)
     except SOLVER_ERRORS as exc:
-        print(_error_json("solver", str(exc), config_hash=config_hash(cfg)))
+        print(_solver_error_json(exc, config_hash=config_hash(cfg)))
         return EXIT_SOLVER
     doc = trace.to_dict()
     doc["config_hash"] = config_hash(cfg)

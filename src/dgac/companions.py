@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import SpaceOperators
-from .forward import DgSolution, SlabSolution, l2_project, spd_config
+from .forward import DgSolution, SlabSolution, l2_project
 from .linalg import LinearSolveConfig, solve_linear
 from .problems import ManufacturedSolution, ProblemSpec
 from .space import FeSpace
@@ -247,9 +247,8 @@ def solve_backward_psi(
 
     out = _march_backward(data, reaction, shape, ops, lin_cfg, kind="linearized")
     out.rhs_reference = rhs
-    cg = spd_config(lin_cfg)
     out.laplacian = [
-        np.stack([solve_linear(M, A @ row, cg) for row in coeffs])
+        np.stack([solve_linear(M, A @ row, lin_cfg) for row in coeffs])
         for coeffs in out.slab_coeffs
     ]
     return out
@@ -602,7 +601,6 @@ def local_projection_slab(
     followed by mass solves.  The moment integrals use the basis rule, so
     they are exact for polynomial w and match the verification quadrature.
     """
-    cfg = spd_config(lin_cfg or LinearSolveConfig())
     k = basis.k
     M = ops.mass()
     tau = t_end - t_start
@@ -617,7 +615,7 @@ def local_projection_slab(
     T[k] = basis.right_values
     R[k] = ops.load(lambda x: w(t_end, x))
     Y = np.linalg.solve(T, R)
-    return np.stack([solve_linear(M, y, cfg) for y in Y])
+    return np.stack([solve_linear(M, y, lin_cfg) for y in Y])
 
 
 def local_projection(

@@ -49,18 +49,11 @@ class ProblemConfig:
 
 
 @dataclass(frozen=True)
-class LinearConfig:
-    method: str = "bicgstab"
-    rel_tolerance: float = 1e-11
-    max_iterations: int = 2000
-
-
-@dataclass(frozen=True)
 class SolverConfig:
     newton_abs_tol: float = 1e-12
     newton_rel_tol: float = 1e-12
     max_iter: int = 30
-    linear: LinearConfig = field(default_factory=LinearConfig)
+    linear: LinearSolveConfig = field(default_factory=LinearSolveConfig)
 
 
 @dataclass(frozen=True)
@@ -99,7 +92,7 @@ _SCHEMA = {
     "problem": {"manufactured": None, "initial_profile": None},
     "solver": {
         "newton_abs_tol": None, "newton_rel_tol": None, "max_iter": None,
-        "linear": {"method": None, "rel_tolerance": None, "max_iterations": None},
+        "linear": {"rel_tolerance": None},
     },
     "quadrature": {"time_points": None, "space_order": None, "allow_inexact": None},
     "output": {"directory": None, "run_id": None},
@@ -180,13 +173,9 @@ def parse_config(doc: dict) -> RunConfig:
 
     soldoc = doc.get("solver", {})
     lindoc = soldoc.get("linear", {})
-    linear = LinearConfig(method=lindoc.get("method", "bicgstab"),
-                          rel_tolerance=float(lindoc.get("rel_tolerance", 1e-11)),
-                          max_iterations=int(lindoc.get("max_iterations", 2000)))
-    if linear.method not in ("bicgstab", "conjugate_gradient", "dense_lu"):
-        raise ConfigError(f"unknown linear method '{linear.method}'")
-    _positive(linear.rel_tolerance, "solver.linear.rel_tolerance")
-    _positive(linear.max_iterations, "solver.linear.max_iterations")
+    rel_tolerance = float(lindoc.get("rel_tolerance", 1e-11))
+    _positive(rel_tolerance, "solver.linear.rel_tolerance")
+    linear = LinearSolveConfig(rel_tolerance=rel_tolerance)
     solver = SolverConfig(newton_abs_tol=float(soldoc.get("newton_abs_tol", 1e-12)),
                           newton_rel_tol=float(soldoc.get("newton_rel_tol", 1e-12)),
                           max_iter=int(soldoc.get("max_iter", 30)),
@@ -242,11 +231,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
             "newton_abs_tol": cfg.solver.newton_abs_tol,
             "newton_rel_tol": cfg.solver.newton_rel_tol,
             "max_iter": cfg.solver.max_iter,
-            "linear": {
-                "method": cfg.solver.linear.method,
-                "rel_tolerance": cfg.solver.linear.rel_tolerance,
-                "max_iterations": cfg.solver.linear.max_iterations,
-            },
+            "linear": {"rel_tolerance": cfg.solver.linear.rel_tolerance},
         },
         "quadrature": {"time_points": cfg.quadrature.time_points,
                        "space_order": cfg.quadrature.space_order,
@@ -291,12 +276,9 @@ def instantiate(cfg: RunConfig) -> Discretization:
     problem = make_problem(dimension=cfg.dimension, epsilon=cfg.epsilon, T=cfg.time.T,
                            manufactured=cfg.problem.manufactured,
                            initial_profile=cfg.problem.initial_profile)
-    linear = LinearSolveConfig(method=cfg.solver.linear.method,
-                               rel_tolerance=cfg.solver.linear.rel_tolerance,
-                               max_iterations=cfg.solver.linear.max_iterations)
     newton = NewtonConfig(abs_tol=cfg.solver.newton_abs_tol,
                           rel_tol=cfg.solver.newton_rel_tol,
                           max_iterations=cfg.solver.max_iter)
     return Discretization(problem=problem, space=space, ops=ops,
                           partition=partition, basis=basis,
-                          newton=newton, linear=linear)
+                          newton=newton, linear=cfg.solver.linear)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,20 +64,12 @@ class NewtonError(RuntimeError):
         self.history = history
 
 
-def spd_config(cfg: LinearSolveConfig) -> LinearSolveConfig:
-    """Swap bicgstab for conjugate gradient on symmetric positive systems."""
-    if cfg.method == "bicgstab":
-        return replace(cfg, method="conjugate_gradient")
-    return cfg
-
-
 def l2_project(f, ops: SpaceOperators, lin_cfg: LinearSolveConfig | None = None) -> np.ndarray:
     """L2 projection of f onto the free dofs: solve M x = (f, phi).
 
     f may be a spatial callable or an (n_elements, n_quad) value field.
     """
-    cfg = spd_config(lin_cfg or LinearSolveConfig())
-    return solve_linear(ops.mass(), ops.load(f), cfg)
+    return solve_linear(ops.mass(), ops.load(f), lin_cfg)
 
 
 @dataclass

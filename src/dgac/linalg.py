@@ -1,8 +1,8 @@
-"""Sparse linear algebra: CSR construction, linear solves, eigen diagnostic.
+"""Sparse linear algebra: linear solves and the eigen diagnostic.
 
-Storage and the Krylov/direct kernels are scipy; this module pins down the
-contracts the rest of the package relies on (duplicate-summing COO builder,
-enforced relative residuals, deterministic shifted inverse power iteration
+Storage and the direct kernels are scipy; this module pins down the
+contracts the rest of the package relies on (one sparse LU solve with an
+enforced relative residual, deterministic shifted inverse power iteration
 for the smallest generalized eigenvalue).
 """
 
@@ -11,35 +11,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.io
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-
-VALID_METHODS = ("conjugate_gradient", "bicgstab", "dense_lu")
 
 
 @dataclass(frozen=True)
 class LinearSolveConfig:
     """How to solve A x = b.
 
-    method is one of conjugate_gradient (SPD systems), bicgstab
-    (nonsymmetric), dense_lu.  Iterative methods are Jacobi preconditioned
-    and must reach ||b - A x|| <= rel_tolerance * ||b||; failure raises
-    LinearSolveError carrying the achieved residual.
+    Every system is factored by sparse LU and the result must satisfy
+    ||b - A x|| <= rel_tolerance * ||b||; failure raises LinearSolveError
+    carrying the achieved residual.
     """
 
-    method: str = "bicgstab"
     rel_tolerance: float = 1e-11
-    max_iterations: int = 20000
 
     def __post_init__(self):
-        if self.method not in VALID_METHODS:
-            raise ValueError(f"unknown linear method {self.method!r}, expected one of {VALID_METHODS}")
         if not self.rel_tolerance > 0:
             raise ValueError("rel_tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 class LinearSolveError(RuntimeError):
@@ -50,32 +40,12 @@ class LinearSolveError(RuntimeError):
         self.achieved_residual = achieved_residual
 
 
-def coo_to_csr(rows, cols, vals, shape) -> sp.csr_array:
-    """CSR matrix from coordinate triplets; duplicate entries are summed."""
-    out = sp.coo_array((np.asarray(vals, dtype=float), (rows, cols)), shape=shape).tocsr()
-    out.sum_duplicates()
-    out.sort_indices()
-    return out
-
-
-def dump_matrix_market(matrix, path: str) -> None:
-    """Write a matrix in MatrixMarket coordinate text format."""
-    scipy.io.mmwrite(path, sp.coo_array(matrix))
-
-
-def _jacobi(A: sp.csr_array) -> spla.LinearOperator:
-    d = A.diagonal()
-    if np.any(d == 0.0):
-        raise LinearSolveError("Jacobi preconditioner hit a zero diagonal entry")
-    inv = 1.0 / d
-    return spla.LinearOperator(A.shape, matvec=lambda x: inv * x)
-
-
 def solve_linear(A, b: np.ndarray, config: LinearSolveConfig | None = None) -> np.ndarray:
-    """Solve A x = b under the given configuration.
+    """Solve A x = b by sparse LU and enforce the residual contract.
 
-    b = 0 returns the exact zero vector.  Iterative failures and singular
-    dense factorizations raise LinearSolveError.
+    b = 0 returns the exact zero vector.  A singular factorization, a
+    non-finite result or a residual above the tolerance raises
+    LinearSolveError; there is no fallback.
     """
     cfg = config or LinearSolveConfig()
     b = np.asarray(b, dtype=float)
@@ -83,65 +53,21 @@ def solve_linear(A, b: np.ndarray, config: LinearSolveConfig | None = None) -> n
     if norm_b == 0.0:
         return np.zeros_like(b)
 
-    if cfg.method == "dense_lu":
-        dense = A.toarray() if sp.issparse(A) else np.asarray(A, dtype=float)
-        try:
-            lu, piv = scipy.linalg.lu_factor(dense)
-        except scipy.linalg.LinAlgError as exc:
-            raise LinearSolveError(f"dense LU factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(lu)):
-            raise LinearSolveError("dense LU factorization produced non-finite factors (singular matrix)")
-        return scipy.linalg.lu_solve((lu, piv), b)
-
-    A = sp.csr_array(A)
-    kernel = spla.cg if cfg.method == "conjugate_gradient" else spla.bicgstab
-    precond = _jacobi(A)
-
-    # One tight solve first.  A breakdown flag (info < 0) near the rounding
-    # floor is harmless as long as the returned iterate already meets the
-    # contract on the true residual, so judge by that, not by info.
-    x = np.zeros_like(b)
-    rel = 1.0
-    cand, _info = kernel(
-        A, b, rtol=cfg.rel_tolerance, atol=0.0,
-        maxiter=cfg.max_iterations, M=precond,
-    )
-    if np.all(np.isfinite(cand)):
-        r_cand = b - A @ cand
-        rel_cand = float(np.linalg.norm(r_cand)) / norm_b
-        if rel_cand < rel:
-            x, rel = cand, rel_cand
-    if rel <= cfg.rel_tolerance:
-        return x
-
-    # Rescue by restarted defect correction: solve A d = r for the current
-    # true residual and keep whatever improves it.  The defect solves use
-    # GMRES because the two-sided recurrences (bicgstab especially) break
-    # down when the defect is near their rounding floor, while the Arnoldi
-    # process cannot break down and its restarts recompute true residuals.
-    r = b - A @ x
-    for _cycle in range(8):
-        d, _info = spla.gmres(
-            A, r, rtol=max(1e-10, cfg.rel_tolerance), atol=0.0,
-            restart=50, maxiter=40, M=precond,
+    A = sp.csc_array(A, dtype=float)
+    try:
+        x = spla.splu(A).solve(b)
+    except RuntimeError as exc:
+        raise LinearSolveError(f"sparse LU factorization failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise LinearSolveError("sparse LU solve produced non-finite values")
+    rel = float(np.linalg.norm(b - A @ x)) / norm_b
+    if not rel <= cfg.rel_tolerance:
+        raise LinearSolveError(
+            f"sparse LU did not reach relative residual {cfg.rel_tolerance:g} "
+            f"(achieved {rel:.3e})",
+            achieved_residual=rel,
         )
-        progress = False
-        if np.all(np.isfinite(d)):
-            cand = x + d
-            r_cand = b - A @ cand
-            rel_cand = float(np.linalg.norm(r_cand)) / norm_b
-            if rel_cand < 0.9 * rel:
-                x, r, rel = cand, r_cand, rel_cand
-                progress = True
-        if rel <= cfg.rel_tolerance:
-            return x
-        if not progress:
-            break  # stagnated at the attainable floor
-    raise LinearSolveError(
-        f"{cfg.method} did not reach relative residual {cfg.rel_tolerance:g} "
-        f"within {cfg.max_iterations} iterations per cycle (achieved {rel:.3e})",
-        achieved_residual=rel,
-    )
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from _helpers import (
     run_cli,
 )
 
-DENSE = LinearSolveConfig(method="dense_lu")
+LIN = LinearSolveConfig()
 TIGHT = NewtonConfig(abs_tol=1e-13, rel_tol=1e-13)
 
 
@@ -110,7 +110,7 @@ def test_slab_march_matches_monolithic_solves(capsys):
     samples = np.array([0.17, 0.5, 0.83, 1.0])
     for k in (1, 2):
         run = make_run(n=n, N=N, T=0.6, k=k, manufactured="expsine")
-        sol = _solve(run, newton_cfg=TIGHT, lin_cfg=DENSE)
+        sol = _solve(run, newton_cfg=TIGHT, lin_cfg=LIN)
         u0, W = dense_spacetime_oracle(run.problem, n, N, k)
         worst = max(worst, float(np.max(np.abs(sol.initial - u0))))
         for m in range(N):
@@ -120,7 +120,7 @@ def test_slab_march_matches_monolithic_solves(capsys):
     problem = make_problem(1, 0.5, 0.3, initial_profile="interface")
     run = make_run(n=n, N=N, T=0.3, k=0, initial_profile="interface")
     sol = solve_forward(problem, run.ops, run.partition, run.basis,
-                        newton_cfg=TIGHT, lin_cfg=DENSE)
+                        newton_cfg=TIGHT, lin_cfg=LIN)
     steps = implicit_euler_oracle(problem, n, N)
     worst_euler = float(np.max(np.abs(sol.initial - steps[0])))
     for m in range(1, N + 1):

@@ -61,9 +61,7 @@ def test_parse_config_defaults():
     assert cfg.time.T == 1.0 and cfg.time.N_slabs == 8 and cfg.time.k == 1
     assert cfg.space.degree_l == 1
     assert cfg.epsilon == 0.5
-    assert cfg.solver.linear.method == "bicgstab"
     assert cfg.solver.linear.rel_tolerance == 1e-11
-    assert cfg.solver.linear.max_iterations == 2000
     assert cfg.solver.newton_abs_tol == 1e-12
     assert cfg.solver.newton_rel_tol == 1e-12
     assert cfg.solver.max_iter == 30
@@ -99,7 +97,8 @@ def test_parse_config_2d_defaults():
     ({"problem": {"manufactured": "expsine"}, "space": {"degree_l": 0}},
      "must be positive"),
     ({"problem": {"manufactured": "expsine"},
-      "solver": {"linear": {"method": "qr"}}}, "unknown linear method"),
+      "solver": {"linear": {"method": "dense_lu"}}},
+     r"unknown field 'solver\.linear\.method'"),
     ({"problem": {"manufactured": "expsine"}, "mesh": 7},
      "field 'mesh' must be an object"),
 ])
@@ -140,7 +139,7 @@ def test_instantiate_builds_matching_pieces():
                         "space": {"degree_l": 2}, "epsilon": 0.3,
                         "problem": {"manufactured": "expsine"},
                         "solver": {"newton_abs_tol": 1e-10, "max_iter": 12,
-                                   "linear": {"method": "dense_lu"}}})
+                                   "linear": {"rel_tolerance": 1e-12}}})
     disc = instantiate(cfg)
     assert disc.space.mesh.n_elements == 8
     assert disc.space.degree == 2
@@ -150,7 +149,7 @@ def test_instantiate_builds_matching_pieces():
     assert disc.problem.epsilon == 0.3
     assert disc.newton.abs_tol == 1e-10
     assert disc.newton.max_iterations == 12
-    assert disc.linear.method == "dense_lu"
+    assert disc.linear.rel_tolerance == 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +237,9 @@ def test_cli_solver_failure_exit_code(tmp_path):
     assert err["error"] == "solver"
     assert "slab" in err["message"]
     assert len(err["config_hash"]) == 12
+    history = err["history"]
+    assert isinstance(history, list) and history
+    assert all(isinstance(h, float) for h in history)
 
 
 def test_cli_solve_is_deterministic(tmp_path):
@@ -305,6 +307,19 @@ def test_cli_convergence_table(tmp_path):
     assert float(rows[2]["tau"]) == pytest.approx(0.25 / 8.0)
     # each level hashes its own refined configuration
     assert len({r["config_hash"] for r in rows}) == 3
+
+
+def test_cli_convergence_failure_reports_level_evidence(tmp_path):
+    doc = _base_doc(tmp_path, run_id="cf", epsilon=0.01, solver={"max_iter": 1})
+    code, out = run_cli(["convergence", "--config", _write_cfg(tmp_path, doc),
+                         "--levels", "3", "--refine", "time"])
+    assert code == 2
+    err = _json_line(out)
+    assert err["error"] == "solver"
+    assert err["message"].startswith("level 0 failed:")
+    assert err["config_hash"] == config_hash(parse_config(doc))
+    assert err["history"] and all(isinstance(h, float) for h in err["history"])
+    assert err["partial_table"].endswith("cf_convergence.csv")
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from _helpers import (
     weighted_hat_mass_1d,
 )
 
-DENSE = LinearSolveConfig(method="dense_lu")
+LIN = LinearSolveConfig()
 TIGHT = NewtonConfig(abs_tol=1e-13, rel_tol=1e-13)
 
 
@@ -78,13 +78,13 @@ def test_dual_single_slab_matches_dense_oracle():
     n, T = 4, 0.5
     run = make_run(n=n, N=1, T=T, k=0, epsilon=0.5, manufactured="expsine")
     sol = solve_forward(run.problem, run.ops, run.partition, run.basis,
-                        newton_cfg=TIGHT, lin_cfg=DENSE)
+                        newton_cfg=TIGHT, lin_cfg=LIN)
     u = sol.coeffs(1)[0]
     M = tridiag_mass(n)
     A = tridiag_stiffness(n)
     W = weighted_hat_mass_1d(u, n, lambda uv: (uv**2 + 1.0) / 0.5**2)
     phi_oracle = np.linalg.solve(M + T * (A + W), T * (M @ u))
-    phi = solve_backward_dual(sol, run.problem, run.ops, lin_cfg=DENSE)
+    phi = solve_backward_dual(sol, run.problem, run.ops, lin_cfg=LIN)
     assert np.max(np.abs(phi.coeffs(1)[0] - phi_oracle)) <= 1e-12
 
 
@@ -176,7 +176,7 @@ def test_psi_matches_dense_oracle():
     run = make_run(n=n, N=N, T=T, k=1, epsilon=eps, initial_profile="zero")
     g = _poly_rhs(run, seed=3)
     psi = solve_backward_psi(g, _ones_ref, run.problem, ops=run.ops,
-                             lin_cfg=DENSE)
+                             lin_cfg=LIN)
 
     _, G, Theta, left, right = lagrange_time_matrices(1)
     M = tridiag_mass(n)
@@ -204,7 +204,7 @@ def test_psi_chain_balance_and_spectral_floor():
     run = make_run(n=8, N=4, T=0.5, k=1, epsilon=0.5, initial_profile="zero")
     g = _poly_rhs(run, seed=11, scale=0.5)
     psi = solve_backward_psi(g, _ones_ref, run.problem, ops=run.ops,
-                             lin_cfg=DENSE)
+                             lin_cfg=LIN)
     A = run.ops.stiffness()
     M = run.ops.mass()
     lam = smallest_generalized_eigenvalue(A + (2.0 / 0.5**2) * M, M).value
@@ -227,7 +227,7 @@ def test_psi_epsilon_scaling_bound(eps):
     run = make_run(n=8, N=4, T=0.5, k=1, epsilon=eps, initial_profile="zero")
     g = _poly_rhs(run, seed=7)
     psi = solve_backward_psi(g, _ones_ref, run.problem, ops=run.ops,
-                             lin_cfg=DENSE)
+                             lin_cfg=LIN)
     M = run.ops.mass()
     A = run.ops.stiffness()
     basis = run.basis
@@ -285,7 +285,7 @@ def test_parabolic_projection_reproduces_trial_space():
         grad=lambda t, x: g(t) * v_grad(x),
     )
     u_p = solve_parabolic_projection(exact, run.ops, run.partition, run.basis,
-                                     lin_cfg=DENSE)
+                                     lin_cfg=LIN)
     assert np.max(np.abs(u_p.initial - 2.0 * v_free)) <= 1e-12
     pts = run.partition.points
     for n in range(1, 5):
@@ -303,7 +303,7 @@ def test_parabolic_projection_galerkin_orthogonality():
     run = make_run(n=16, N=4, T=1.0, k=1, manufactured="expsine")
     exact = run.problem.exact
     u_p = solve_parabolic_projection(exact, run.ops, run.partition, run.basis,
-                                     lin_cfg=DENSE)
+                                     lin_cfg=LIN)
     elev = make_time_basis(1, quad_points=10)
     eops = DgTimeOperators.from_basis(elev)
     M = run.ops.mass()
@@ -353,7 +353,7 @@ def test_local_projection_reproduces_trial_space():
         return 1.0 + 0.5 * t
 
     w = lambda t, x: g(t) * v_val(x)
-    sol = local_projection(w, run.partition, run.ops, run.basis, lin_cfg=DENSE)
+    sol = local_projection(w, run.partition, run.ops, run.basis, lin_cfg=LIN)
     assert np.max(np.abs(sol.initial - v_free)) <= 1e-12
     pts = run.partition.points
     for n in range(1, 5):
@@ -368,7 +368,7 @@ def test_local_projection_k0_matches_endpoint():
     v_free, v_val, _ = _p1_field(run, lambda x: np.sin(np.pi * x[..., 0]))
     w = lambda t, x: (1.0 + t) * v_val(x)
     coeffs = local_projection_slab(w, 0.0, 0.5, run.ops, run.basis,
-                                   lin_cfg=DENSE)
+                                   lin_cfg=LIN)
     assert coeffs.shape == (1, run.space.n_free)
     # endpoint value, not the slab average 1.25
     assert np.max(np.abs(coeffs[0] - 1.5 * v_free)) <= 1e-12
@@ -381,9 +381,9 @@ def test_local_projection_defining_equations():
     t0, t1 = 0.2, 0.45
     tau = t1 - t0
     basis = run.basis
-    coeffs = local_projection_slab(w, t0, t1, run.ops, basis, lin_cfg=DENSE)
+    coeffs = local_projection_slab(w, t0, t1, run.ops, basis, lin_cfg=LIN)
     M = run.ops.mass()
-    end = l2_project(lambda x: w(t1, x), run.ops, DENSE)
+    end = l2_project(lambda x: w(t1, x), run.ops, LIN)
     assert np.max(np.abs(basis.right_values @ coeffs - end)) <= 1e-10
     # moment equations against a denser independent rule
     sq, sw = np.polynomial.legendre.leggauss(12)
@@ -393,7 +393,7 @@ def test_local_projection_defining_equations():
         lhs = np.einsum("q,q,qj->j", sw, sq**m, basis.eval(sq)) @ coeffs
         rhs = np.zeros(run.space.n_free)
         for q, wq in zip(sq, sw):
-            proj = l2_project(lambda x: w(t0 + tau * q, x), run.ops, DENSE)
+            proj = l2_project(lambda x: w(t0 + tau * q, x), run.ops, LIN)
             rhs += wq * q**m * proj
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 

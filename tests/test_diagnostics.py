@@ -28,7 +28,7 @@ from dgac.forward import DgSolution, SlabSolution
 
 from _helpers import Run, gauss01, make_run, p1_error_norms_1d, random_dg_solution
 
-DENSE = LinearSolveConfig(method="dense_lu")
+LIN = LinearSolveConfig()
 
 
 def _small_run(k, n=16, N=8, T=1.0):
@@ -274,7 +274,7 @@ def test_best_approximation_exact_case():
 
     ref = types.SimpleNamespace(value=value, grad=grad)
     u_p = local_projection(value, run.partition, run.ops, run.basis,
-                           lin_cfg=DENSE)
+                           lin_cfg=LIN)
     rep = best_approximation_ratio(u_p, u_p, ref)
     assert rep.exact_case
     assert math.isnan(rep.ratio)

@@ -33,7 +33,7 @@ from _helpers import (
     p1_error_norms_1d,
 )
 
-DENSE = LinearSolveConfig(method="dense_lu")
+LIN = LinearSolveConfig()
 TIGHT = NewtonConfig(abs_tol=1e-13, rel_tol=1e-13)
 
 
@@ -51,14 +51,14 @@ def test_l2_projection_is_orthogonal_and_reproducing():
     run = make_run(n=16, l=1)
     ops = run.ops
     g = lambda x: np.sin(np.pi * x[..., 0])
-    proj = l2_project(g, ops, DENSE)
+    proj = l2_project(g, ops, LIN)
     # Galerkin orthogonality of the projection error against the space
     np.testing.assert_allclose(ops.mass() @ proj, ops.load(g), atol=1e-12)
     # members of the space are reproduced
     nodal = run.space.interpolate(g)
     np.testing.assert_allclose(l2_project(lambda x: np.interp(
         x[..., 0], run.space.dof_coords[:, 0],
-        run.space.scatter(nodal)), ops, DENSE), nodal, atol=1e-12)
+        run.space.scatter(nodal)), ops, LIN), nodal, atol=1e-12)
 
 
 def test_l2_projection_error_halves_at_second_order():
@@ -67,7 +67,7 @@ def test_l2_projection_error_halves_at_second_order():
     errs = []
     for n in (16, 32):
         run = make_run(n=n, l=1)
-        proj = l2_project(lambda x: u(x[..., 0]), run.ops, DENSE)
+        proj = l2_project(lambda x: u(x[..., 0]), run.ops, LIN)
         l2sq, _, _ = p1_error_norms_1d(proj, n, u, du)
         errs.append(np.sqrt(l2sq))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.1)
@@ -92,7 +92,7 @@ def test_zero_slab_is_a_fixed_point():
                          np.zeros(nf), None)
     zero = np.zeros((2, nf))
     np.testing.assert_array_equal(system.residual(zero), np.zeros((2, nf)))
-    U, its = solve_slab(system, zero, NewtonConfig(), DENSE)
+    U, its = solve_slab(system, zero, NewtonConfig(), LIN)
     assert its == 0
     assert np.all(U == 0.0)
 
@@ -127,7 +127,7 @@ def test_slab_marching_reproduces_trial_space_solution(k):
             for t in tq])
         system = _SlabSystem(ops, basis, time_ops, tau, eps, u_prev, floads)
         guess = np.tile(u_prev, (k + 1, 1))
-        U, _ = solve_slab(system, guess, TIGHT, DENSE)
+        U, _ = solve_slab(system, guess, TIGHT, LIN)
         expected = np.outer(g(t0 + tau * basis.nodes), phi)
         assert np.max(np.abs(U - expected)) <= 1e-9
         u_prev = basis.right_values @ U
@@ -149,7 +149,7 @@ def test_forward_matches_dense_spacetime_reference():
     n, N, k = 8, 2, 1
     run = make_run(n=n, N=N, T=0.4, k=k, epsilon=0.5, manufactured="expsine")
     sol = solve_forward(run.problem, run.ops, run.partition, run.basis,
-                        newton_cfg=TIGHT, lin_cfg=DENSE)
+                        newton_cfg=TIGHT, lin_cfg=LIN)
     u0, W = dense_spacetime_oracle(run.problem, n, N, k)
     np.testing.assert_allclose(sol.initial, u0, atol=1e-12)
     samples = np.array([0.2, 0.55, 0.9, 1.0])
@@ -164,7 +164,7 @@ def test_lowest_order_is_backward_euler():
     problem = _small_amplitude_problem(T=0.3)
     run = make_run(n=n, N=N, T=0.3, k=0, initial_profile="zero")
     sol = solve_forward(problem, run.ops, run.partition, run.basis,
-                        newton_cfg=TIGHT, lin_cfg=DENSE)
+                        newton_cfg=TIGHT, lin_cfg=LIN)
     steps = implicit_euler_oracle(problem, n, N)
     np.testing.assert_allclose(sol.initial, steps[0], atol=1e-12)
     for m in range(1, N + 1):
