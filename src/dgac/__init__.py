@@ -14,6 +14,7 @@ from .linalg import (
     LinearSolveConfig,
     LinearSolveError,
     EigenResult,
+    factorize,
     solve_linear,
     smallest_generalized_eigenvalue,
 )

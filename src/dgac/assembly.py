@@ -1,9 +1,12 @@
 """Vectorized assembly of spatial forms over a finite element space.
 
 All assembled operators act on free-dof vectors (Dirichlet rows and columns
-eliminated symmetrically).  The default quadrature integrates degree 4*l
-exactly so that cubic-in-u loads and quartic energy densities are exact for
-P1 and P2; pass a higher exact_degree for smooth-data integrals.
+eliminated symmetrically).  They share one CSR sparsity pattern, built once
+per space, and every assembly is a bincount of element entries into its
+data; the space-time slab operators reuse it through a cached kron pattern.
+The default quadrature integrates degree 4*l exactly so that cubic-in-u
+loads and quartic energy densities are exact for P1 and P2; pass a higher
+exact_degree for smooth-data integrals.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
+from .linalg import LinearSolveConfig, factorize
 from .space import FeSpace, interval_rule, triangle_rule
 
 
@@ -45,6 +49,9 @@ class SpaceOperators:
         self.quad_weights = wts         # (nq,)
         ref = space.reference
         self.basis_values = ref.values(pts)        # (nq, ldof)
+        # w_q phi_a phi_b at each quadrature point, (nq, ldof * ldof)
+        self._basis_pairs = (wts[:, None, None] * self.basis_values[:, :, None]
+                             * self.basis_values[:, None, :]).reshape(len(wts), -1)
         grad_ref = ref.gradients(pts)              # (nq, ldof, dim)
 
         verts = mesh.vertices[mesh.elements]       # (ne, dim+1, dim)
@@ -69,52 +76,58 @@ class SpaceOperators:
             # grad_x phi = B^{-T} grad_ref phi
             self.grad_phys = np.einsum("edc,qad->eqac", inv, grad_ref)
 
-        edofs = space.element_dofs
-        self._rows_full = np.broadcast_to(
-            edofs[:, :, None], edofs.shape + (edofs.shape[1],)
-        ).ravel()
-        self._cols_full = np.broadcast_to(
-            edofs[:, None, :], (edofs.shape[0], edofs.shape[1], edofs.shape[1])
-        ).ravel()
-        self._free_ix = space.free_dofs
+        # Fixed free-dof CSR pattern shared by M, A and every W(.): each
+        # element entry (e, a, b) has a slot in the pattern's data, or the
+        # dropped slot nnz when either dof is constrained.
+        nf = space.n_free
+        local = space.full_to_free[space.element_dofs]          # (ne, ldof)
+        rows = np.broadcast_to(local[:, :, None], local.shape + local.shape[1:]).ravel()
+        cols = np.broadcast_to(local[:, None, :], local.shape + local.shape[1:]).ravel()
+        keep = (rows >= 0) & (cols >= 0)
+        keys, inverse = np.unique(rows[keep] * nf + cols[keep], return_inverse=True)
+        self._nnz = keys.size
+        self._indices = (keys % nf).astype(np.int32)
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(keys // nf, minlength=nf))]).astype(np.int32)
+        self._indices.flags.writeable = self._indptr.flags.writeable = False  # shared
+        self._matrix_slot = np.full(rows.size, self._nnz, dtype=np.int64)
+        self._matrix_slot[keep] = inverse
+        self._load_slot = np.where(local >= 0, local, nf).ravel()
+        self._slab_patterns: dict[int, tuple] = {}
         self._mass = None
         self._stiffness = None
+        self._mass_solvers: dict[LinearSolveConfig, object] = {}
 
     # -- element-array helpers ------------------------------------------------
 
-    def _assemble(self, local: np.ndarray) -> sp.csr_array:
-        """Assemble per-element (ne, ldof, ldof) blocks into a free-dof CSR matrix."""
-        full = sp.coo_array(
-            (local.ravel(), (self._rows_full, self._cols_full)),
-            shape=(self.space.n_dofs, self.space.n_dofs),
-        ).tocsr()
-        out = full[self._free_ix, :][:, self._free_ix]
-        out.sum_duplicates()
-        out.sort_indices()
-        return out
+    def _csr(self, data: np.ndarray) -> sp.csr_array:
+        n = self.space.n_free
+        return sp.csr_array((data, self._indices, self._indptr), shape=(n, n))
+
+    def _assemble(self, local: np.ndarray) -> np.ndarray:
+        """Sum element blocks (..., ne, ldof, ldof) into pattern data (..., nnz)."""
+        return _bin_sum(self._matrix_slot, self._nnz, local.reshape(local.shape[:-3] + (-1,)))
 
     def _gather_load(self, local: np.ndarray) -> np.ndarray:
-        full = np.zeros(self.space.n_dofs)
-        np.add.at(full, self.space.element_dofs.ravel(), local.ravel())
-        return full[self._free_ix]
+        """Sum element loads (..., ne, ldof) into free-dof vectors (..., n_free)."""
+        return _bin_sum(self._load_slot, self.space.n_free, local.reshape(local.shape[:-2] + (-1,)))
 
     # -- evaluation -----------------------------------------------------------
 
     def eval_free(self, u_free: np.ndarray) -> np.ndarray:
-        """Values of a free-dof function at all quadrature points, (ne, nq)."""
-        full = self.space.scatter(u_free)
-        nodal = full[self.space.element_dofs]          # (ne, ldof)
-        return nodal @ self.basis_values.T             # (ne, nq)
+        """Values of free-dof functions (..., n_free) at all quadrature points, (..., ne, nq)."""
+        nodal = self.space.scatter(u_free)[..., self.space.element_dofs]   # (..., ne, ldof)
+        return nodal @ self.basis_values.T
 
     def eval_grad_free(self, u_free: np.ndarray) -> np.ndarray:
         """Gradients at quadrature points, (ne, nq, dim)."""
-        full = self.space.scatter(u_free)
-        nodal = full[self.space.element_dofs]
-        return np.einsum("ea,eqad->eqd", nodal, self.grad_phys)
+        nodal = self.space.scatter(u_free)[self.space.element_dofs]
+        return np.matmul(nodal[:, None, None, :], self.grad_phys)[:, :, 0, :]
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate a quadrature-point field (ne, nq) over the domain."""
-        return float(np.einsum("e,q,eq->", self.dets, self.quad_weights, values))
+    def integrate(self, values: np.ndarray):
+        """Integrate quadrature-point fields (..., ne, nq) over the domain; a
+        single field gives a scalar."""
+        return (values @ self.quad_weights) @ self.dets
 
     def evaluate_function(self, f) -> np.ndarray:
         """Evaluate a spatial callable f(x) at the quadrature points, (ne, nq)."""
@@ -125,8 +138,8 @@ class SpaceOperators:
     def mass(self) -> sp.csr_array:
         """Mass matrix (phi_b, phi_a) on free dofs."""
         if self._mass is None:
-            mloc = np.einsum("q,qa,qb->ab", self.quad_weights, self.basis_values, self.basis_values)
-            self._mass = self._assemble(self.dets[:, None, None] * mloc[None, :, :])
+            ones = np.ones((self.dets.size, self.quad_weights.size))
+            self._mass = self._csr(self._assemble(self._weighted_local(ones)))
         return self._mass
 
     def stiffness(self) -> sp.csr_array:
@@ -135,24 +148,70 @@ class SpaceOperators:
             kloc = np.einsum(
                 "q,eqad,eqbd->eab", self.quad_weights, self.grad_phys, self.grad_phys
             )
-            self._stiffness = self._assemble(self.dets[:, None, None] * kloc)
+            self._stiffness = self._csr(self._assemble(self.dets[:, None, None] * kloc))
         return self._stiffness
 
     def weighted_mass(self, weight_values: np.ndarray) -> sp.csr_array:
         """Mass matrix weighted by a quadrature-point field (ne, nq)."""
-        wloc = np.einsum(
-            "q,eq,qa,qb->eab", self.quad_weights, weight_values, self.basis_values, self.basis_values
-        )
-        return self._assemble(self.dets[:, None, None] * wloc)
+        return self._csr(self._assemble(self._weighted_local(weight_values)))
+
+    def _weighted_local(self, weight_values: np.ndarray) -> np.ndarray:
+        """Element blocks of W(r) for fields (..., ne, nq), (..., ne, ldof, ldof)."""
+        loc = (self.dets[:, None] * weight_values) @ self._basis_pairs
+        ldof = self.basis_values.shape[1]
+        return loc.reshape(loc.shape[:-1] + (ldof, ldof))
+
+    def mass_solver(self, config: LinearSolveConfig | None = None):
+        """Solve callable for M x = b; M is factored once per config."""
+        cfg = config or LinearSolveConfig()
+        if cfg not in self._mass_solvers:
+            self._mass_solvers[cfg] = factorize(self.mass(), cfg)
+        return self._mass_solvers[cfg]
+
+    def slab_operator(self, basis, coupling, Theta, tau, reaction=None) -> sp.csr_array:
+        """Space-time slab matrix on the fixed kron pattern.
+
+        Returns kron(coupling, M) + tau kron(Theta, A)
+        + tau sum_q w_q kron(chi(t_q) chi(t_q)^T, W(r_q)), where coupling is
+        G (forward) or G^T (backward) and reaction holds the fields r_q at
+        the time quadrature points of basis, (nq_t, ne, nq), or is None.
+        """
+        m = basis.k + 1
+        indices, indptr, perm = self._slab_pattern(m)
+        blocks = (coupling[:, :, None] * self.mass().data
+                  + tau * Theta[:, :, None] * self.stiffness().data)
+        if reaction is not None:
+            c = tau * np.einsum("q,qi,qj->ijq", basis.quad_weights, basis.values, basis.values)
+            fields = np.einsum("ijq,qes->ijes", c, reaction)
+            blocks += self._assemble(self._weighted_local(fields))
+        n = m * self.space.n_free
+        return sp.csr_array((blocks.ravel()[perm], indices, indptr), shape=(n, n))
+
+    def _slab_pattern(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR indices and indptr of kron(ones((m, m)), pattern) and the
+        permutation taking block data (m, m, nnz) to CSR order."""
+        if m not in self._slab_patterns:
+            nf, nnz = self.space.n_free, self._nnz
+            row_len = np.diff(self._indptr)
+            row_of = np.repeat(np.arange(nf), row_len)
+            i, j, p = (a.ravel() for a in np.meshgrid(
+                np.arange(m), np.arange(m), np.arange(nnz), indexing="ij"))
+            perm = np.lexsort((p, j, row_of[p], i))
+            indices = (j * nf + self._indices[p])[perm].astype(np.int32)
+            indptr = np.concatenate([[0], np.cumsum(np.tile(m * row_len, m))]).astype(np.int32)
+            for a in (indices, indptr, perm):
+                a.flags.writeable = False
+            self._slab_patterns[m] = (indices, indptr, perm)
+        return self._slab_patterns[m]
 
     def load(self, g) -> np.ndarray:
-        """Load vector (g, phi_a); g is a callable of x or an (ne, nq) field."""
+        """Load vector (g, phi_a); g is a callable of x or a (..., ne, nq) field."""
         vals = g if isinstance(g, np.ndarray) else self.evaluate_function(g)
-        loc = np.einsum("q,eq,qa->ea", self.quad_weights, vals, self.basis_values)
-        return self._gather_load(self.dets[:, None] * loc)
+        loc = (self.dets[:, None] * vals) @ (self.quad_weights[:, None] * self.basis_values)
+        return self._gather_load(loc)
 
     def cubic_load(self, u_free: np.ndarray) -> np.ndarray:
-        """Nonlinear load (u^3 - u, phi_a) for a free-dof function u."""
+        """Nonlinear load (u^3 - u, phi_a) for free-dof functions u (..., n_free)."""
         vals = self.eval_free(u_free)
         return self.load(vals**3 - vals)
 
@@ -165,3 +224,16 @@ class SpaceOperators:
         vals = g if isinstance(g, np.ndarray) else np.asarray(g(self.phys_points), dtype=float)
         loc = np.einsum("q,eqd,eqad->ea", self.quad_weights, vals, self.grad_phys)
         return self._gather_load(self.dets[:, None] * loc)
+
+
+def _bin_sum(slots: np.ndarray, n_bins: int, values: np.ndarray) -> np.ndarray:
+    """Sum values (..., slots.size) into n_bins bins by slot, per leading index.
+
+    Slot n_bins collects entries that belong to no bin and is dropped.
+    """
+    lead = values.shape[:-1]
+    count = int(np.prod(lead))
+    width = n_bins + 1
+    flat = (slots + width * np.arange(count)[:, None]).ravel()
+    out = np.bincount(flat, weights=values.ravel(), minlength=count * width)
+    return out.reshape(lead + (width,))[..., :n_bins]

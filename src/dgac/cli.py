@@ -66,16 +66,19 @@ def _error_json(kind: str, message: str, **extra) -> str:
     return json.dumps(doc, sort_keys=True)
 
 
-def _solver_error_json(exc: Exception, message: str | None = None, **extra) -> str:
-    """Solver error line carrying the evidence of the failure.
-
-    A NewtonError adds its residual history, a LinearSolveError the
-    relative residual it reached (null if none was computed).
-    """
+def _evidence(exc: Exception) -> dict:
+    """A NewtonError's residual history, or the relative residual a
+    LinearSolveError reached (null if none was computed)."""
     if isinstance(exc, NewtonError):
-        extra["history"] = list(exc.history)
-    elif isinstance(exc, LinearSolveError):
-        extra["achieved_residual"] = exc.achieved_residual
+        return {"history": list(exc.history)}
+    if isinstance(exc, LinearSolveError):
+        return {"achieved_residual": exc.achieved_residual}
+    return {}
+
+
+def _solver_error_json(exc: Exception, message: str | None = None, **extra) -> str:
+    """Solver error line carrying the evidence of the failure."""
+    extra.update(_evidence(exc))
     return _error_json("solver", str(exc) if message is None else message, **extra)
 
 
@@ -246,7 +249,7 @@ def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> i
         return EXIT_CONFIG
     run_id = cfg.output.run_id
     rows = []
-    any_failed = False
+    failures = []
     for eps in epsilons:
         cfg_e = dataclasses.replace(cfg, epsilon=float(eps))
         disc = instantiate(cfg_e)
@@ -254,7 +257,8 @@ def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> i
             sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
                                 newton_cfg=disc.newton, lin_cfg=disc.linear)
         except SOLVER_ERRORS as exc:
-            any_failed = True
+            failures.append((exc, {"epsilon": float(eps), "config_hash": config_hash(cfg_e),
+                                   "message": str(exc), **_evidence(exc)}))
             rows.append([run_id, str(cfg_e.time.k), str(cfg_e.space.degree_l),
                          str(cfg_e.time.N_slabs), str(disc.space.mesh.n_elements),
                          _fmt(eps), "", "", "", "", "", "", "", "failed",
@@ -272,9 +276,10 @@ def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> i
     _write_csv(csv_path, SWEEP_HEADER, rows)
     _write_manifest(outdir, run_id, cfg, "stability-sweep", [csv_path],
                     {"epsilons": [float(e) for e in epsilons]})
-    if any_failed:
-        print(_error_json("solver", "one or more sweep points failed; "
-                          "partial results written", table=csv_path))
+    if failures:
+        print(_solver_error_json(failures[0][0], "one or more sweep points failed; "
+                                 "partial results written", table=csv_path,
+                                 failed_points=[point for _, point in failures]))
         return EXIT_SOLVER
     print(f"sweep table written to {csv_path}")
     return EXIT_OK

@@ -24,11 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import SpaceOperators
 from .forward import DgSolution, SlabSolution, l2_project
-from .linalg import LinearSolveConfig, solve_linear
+from .linalg import LinearSolveConfig, factorize, solve_linear
 from .problems import ManufacturedSolution, ProblemSpec
 from .space import FeSpace
 from .timebase import DgTimeOperators, TimeBasis, TimePartition, make_time_basis
@@ -99,23 +98,6 @@ class BackwardSolution:
         return self.left_plus(n + 1)
 
 
-def _backward_slab_matrix(ops, basis, time_ops, tau, reaction_weights) -> sp.csr_array:
-    """kron(G^T, M) + tau kron(Theta, A) + tau sum_q w_q kron(chi chi^T, W_q).
-
-    reaction_weights[q] is the (ne, nq_space) coefficient field of the
-    frozen reaction at time quadrature point q (including the 1/eps^2).
-    """
-    M = ops.mass()
-    A = ops.stiffness()
-    K = sp.kron(time_ops.G.T, M, format="csr") + tau * sp.kron(time_ops.Theta, A, format="csr")
-    w = basis.quad_weights
-    val = basis.values
-    for q in range(len(w)):
-        Wq = ops.weighted_mass(reaction_weights[q])
-        K = K + tau * w[q] * sp.kron(np.outer(val[q], val[q]), Wq, format="csr")
-    return sp.csr_array(K)
-
-
 def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     """Frozen coefficient u at the slab's time quadrature points, (nq_t, ne, nq_x).
 
@@ -124,8 +106,7 @@ def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     callable u(t, x).
     """
     if hasattr(u_ref, "eval_slab"):
-        coeff_rows = u_ref.eval_slab(n, basis.quad_points)
-        return np.stack([ops.eval_free(row) for row in coeff_rows])
+        return ops.eval_free(u_ref.eval_slab(n, basis.quad_points))
     return np.stack([
         ops.evaluate_function(lambda x, tq=t0 + tau * q: u_ref(tq, x))
         for q in basis.quad_points
@@ -140,7 +121,11 @@ def _march_backward(
     lin_cfg: LinearSolveConfig,
     kind: str,
 ) -> BackwardSolution:
-    """Shared right-to-left sweep; data_term(n) and reaction_for_slab(n, t0, tau)."""
+    """Shared right-to-left sweep; data_term(n) and reaction_for_slab(n, t0, tau).
+
+    Slab n solves the transposed slab operator with G^T and the frozen
+    reaction fields (including the 1/eps^2) at the time quadrature points.
+    """
     partition, basis = u_source.partition, u_source.basis
     time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
@@ -151,7 +136,8 @@ def _march_backward(
     for n in range(partition.n_slabs, 0, -1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        K = _backward_slab_matrix(ops, basis, time_ops, tau, reaction_for_slab(n, t0, tau))
+        K = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, tau,
+                              reaction_for_slab(n, t0, tau))
         rhs = np.outer(basis.right_values, M @ incoming) + data_term(n, t0, tau)
         coeffs = solve_linear(K, rhs.ravel(), lin_cfg).reshape(basis.k + 1, -1)
         out.slab_coeffs[n - 1] = coeffs
@@ -247,9 +233,9 @@ def solve_backward_psi(
 
     out = _march_backward(data, reaction, shape, ops, lin_cfg, kind="linearized")
     out.rhs_reference = rhs
+    mass_solve = ops.mass_solver(lin_cfg)
     out.laplacian = [
-        np.stack([solve_linear(M, A @ row, lin_cfg) for row in coeffs])
-        for coeffs in out.slab_coeffs
+        np.stack([mass_solve(A @ row) for row in coeffs]) for coeffs in out.slab_coeffs
     ]
     return out
 
@@ -554,19 +540,17 @@ def solve_parabolic_projection(
     lin_cfg = lin_cfg or LinearSolveConfig()
     time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
-    A = ops.stiffness()
     p_prev = l2_project(lambda x: exact.value(0.0, x), ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=p_prev)
     pts = partition.points
-    systems: dict[float, sp.csr_array] = {}
+    step = None
     for n in range(1, partition.n_slabs + 1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        if tau not in systems:
-            systems[tau] = sp.csr_array(
-                sp.kron(time_ops.G, M, format="csr")
-                + tau * sp.kron(time_ops.Theta, A, format="csr")
-            )
+        if tau != step:  # refactor only when the step changes
+            solve = None  # release the previous factorization first
+            solve = factorize(ops.slab_operator(basis, time_ops.G, time_ops.Theta, tau), lin_cfg)
+            step = tau
         loads = np.stack([
             ops.load(lambda x, tq=t0 + tau * q: exact.dt(tq, x))
             + ops.gradient_load(lambda x, tq=t0 + tau * q: exact.grad(tq, x))
@@ -574,7 +558,7 @@ def solve_parabolic_projection(
         ])
         rhs = np.outer(time_ops.left_load, M @ p_prev)
         rhs += tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
-        coeffs = solve_linear(systems[tau], rhs.ravel(), lin_cfg).reshape(basis.k + 1, -1)
+        coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
         sol.slabs.append(SlabSolution(index=n, t_start=float(t0), t_end=float(pts[n]),
                                       coeffs=coeffs, left_incoming=p_prev))
         p_prev = basis.right_values @ coeffs
@@ -602,7 +586,6 @@ def local_projection_slab(
     they are exact for polynomial w and match the verification quadrature.
     """
     k = basis.k
-    M = ops.mass()
     tau = t_end - t_start
     qp, qw = basis.quad_points, basis.quad_weights
     loads = np.stack([ops.load(lambda x, tq=t_start + tau * q: w(tq, x)) for q in qp])
@@ -615,7 +598,8 @@ def local_projection_slab(
     T[k] = basis.right_values
     R[k] = ops.load(lambda x: w(t_end, x))
     Y = np.linalg.solve(T, R)
-    return np.stack([solve_linear(M, y, lin_cfg) for y in Y])
+    mass_solve = ops.mass_solver(lin_cfg)
+    return np.stack([mass_solve(y) for y in Y])
 
 
 def local_projection(

@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .assembly import SpaceOperators
 from .linalg import LinearSolveConfig, solve_linear
@@ -69,7 +68,7 @@ def l2_project(f, ops: SpaceOperators, lin_cfg: LinearSolveConfig | None = None)
 
     f may be a spatial callable or an (n_elements, n_quad) value field.
     """
-    return solve_linear(ops.mass(), ops.load(f), lin_cfg)
+    return ops.mass_solver(lin_cfg)(ops.load(f))
 
 
 @dataclass
@@ -151,29 +150,21 @@ class _SlabSystem:
         else:
             self.force_term = tau * np.einsum("q,qi,qa->ia", w, basis.values, forcing_loads)
 
-    def quad_values(self, U: np.ndarray) -> np.ndarray:
-        """u at the time quadrature points, (nq, n_free)."""
-        return self.basis.values @ U
+    def quad_fields(self, U: np.ndarray) -> np.ndarray:
+        """u at all time and space quadrature points, (nq_t, ne, nq)."""
+        return self.ops.eval_free(self.basis.values @ U)
 
     def residual(self, U: np.ndarray) -> np.ndarray:
-        w = self.basis.quad_weights
-        uq = self.quad_values(U)
-        nl = np.stack([self.ops.cubic_load(uq[q]) for q in range(len(w))])
+        vals = self.quad_fields(U)
+        nl = self.ops.load(vals**3 - vals)                     # (nq_t, n_free)
         out = self.G @ (self.M @ U.T).T + self.tau * (self.Theta @ (self.A @ U.T).T)
-        out += self.tau * self.inv_eps2 * np.einsum("q,qi,qa->ia", w, self.basis.values, nl)
+        out += self.tau * self.inv_eps2 * np.einsum(
+            "q,qi,qa->ia", self.basis.quad_weights, self.basis.values, nl)
         return out - self.prev_term - self.force_term
 
-    def jacobian(self, U: np.ndarray) -> sp.csr_array:
-        w = self.basis.quad_weights
-        val = self.basis.values
-        uq = self.quad_values(U)
-        J = sp.kron(self.G, self.M, format="csr") + self.tau * sp.kron(self.Theta, self.A, format="csr")
-        for q in range(len(w)):
-            weight = 3.0 * self.ops.eval_free(uq[q]) ** 2 - 1.0
-            Wq = self.ops.weighted_mass(weight)
-            Jt = w[q] * np.outer(val[q], val[q])
-            J = J + self.tau * self.inv_eps2 * sp.kron(Jt, Wq, format="csr")
-        return sp.csr_array(J)
+    def jacobian(self, U: np.ndarray):
+        reaction = self.inv_eps2 * (3.0 * self.quad_fields(U) ** 2 - 1.0)
+        return self.ops.slab_operator(self.basis, self.G, self.Theta, self.tau, reaction)
 
 
 def solve_slab(
@@ -260,10 +251,8 @@ def solve_forward(
             )
         system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
-        try:
-            U, _ = solve_slab(system, guess, newton_cfg, lin_cfg, context=f"slab {n}")
-        except NewtonError as exc:
-            raise NewtonError(f"forward solve failed on slab {n}: {exc}", exc.history) from exc
+        U, _ = solve_slab(system, guess, newton_cfg, lin_cfg,
+                          context=f"forward solve failed on slab {n}")
         sol.slabs.append(
             SlabSolution(index=n, t_start=float(t0), t_end=float(t1), coeffs=U, left_incoming=u_prev)
         )

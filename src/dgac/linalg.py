@@ -1,9 +1,9 @@
 """Sparse linear algebra: linear solves and the eigen diagnostic.
 
 Storage and the direct kernels are scipy; this module pins down the
-contracts the rest of the package relies on (one sparse LU solve with an
-enforced relative residual, deterministic shifted inverse power iteration
-for the smallest generalized eigenvalue).
+contracts the rest of the package relies on (one sparse LU factorization
+whose every solve enforces a relative residual, deterministic shifted
+inverse power iteration for the smallest generalized eigenvalue).
 """
 
 from __future__ import annotations
@@ -40,34 +40,44 @@ class LinearSolveError(RuntimeError):
         self.achieved_residual = achieved_residual
 
 
-def solve_linear(A, b: np.ndarray, config: LinearSolveConfig | None = None) -> np.ndarray:
-    """Solve A x = b by sparse LU and enforce the residual contract.
+def factorize(A, config: LinearSolveConfig | None = None):
+    """Factor A by sparse LU once; return a solve callable b -> x.
 
-    b = 0 returns the exact zero vector.  A singular factorization, a
-    non-finite result or a residual above the tolerance raises
-    LinearSolveError; there is no fallback.
+    Every solve enforces the residual contract for its own right-hand
+    side: b = 0 returns the exact zero vector, and a non-finite result or
+    a residual above the tolerance raises LinearSolveError.  A singular
+    factorization raises here; there is no fallback.
     """
     cfg = config or LinearSolveConfig()
-    b = np.asarray(b, dtype=float)
-    norm_b = float(np.linalg.norm(b))
-    if norm_b == 0.0:
-        return np.zeros_like(b)
-
     A = sp.csc_array(A, dtype=float)
     try:
-        x = spla.splu(A).solve(b)
+        lu = spla.splu(A)
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise LinearSolveError("sparse LU solve produced non-finite values")
-    rel = float(np.linalg.norm(b - A @ x)) / norm_b
-    if not rel <= cfg.rel_tolerance:
-        raise LinearSolveError(
-            f"sparse LU did not reach relative residual {cfg.rel_tolerance:g} "
-            f"(achieved {rel:.3e})",
-            achieved_residual=rel,
-        )
-    return x
+
+    def solve(b: np.ndarray) -> np.ndarray:
+        b = np.asarray(b, dtype=float)
+        norm_b = float(np.linalg.norm(b))
+        if norm_b == 0.0:
+            return np.zeros_like(b)
+        x = lu.solve(b)
+        if not np.all(np.isfinite(x)):
+            raise LinearSolveError("sparse LU solve produced non-finite values")
+        rel = float(np.linalg.norm(b - A @ x)) / norm_b
+        if not rel <= cfg.rel_tolerance:
+            raise LinearSolveError(
+                f"sparse LU did not reach relative residual {cfg.rel_tolerance:g} "
+                f"(achieved {rel:.3e})",
+                achieved_residual=rel,
+            )
+        return x
+
+    return solve
+
+
+def solve_linear(A, b: np.ndarray, config: LinearSolveConfig | None = None) -> np.ndarray:
+    """Solve A x = b by sparse LU under the residual contract of factorize."""
+    return factorize(A, config)(b)
 
 
 # ---------------------------------------------------------------------------

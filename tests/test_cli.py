@@ -15,6 +15,8 @@ from dgac import (
     parse_config,
 )
 
+from dgac.cli import EXIT_SOLVER
+
 from _helpers import run_cli
 
 
@@ -378,6 +380,28 @@ def test_cli_sweep_partial_failure(tmp_path):
     assert rows[0]["status"] == "failed"
     assert rows[0]["L2L2"] == ""
     assert _json_line(out)["error"] == "solver"
+
+
+def test_cli_sweep_failure_reports_point_evidence(tmp_path):
+    doc = _base_doc(tmp_path, run_id="pe",
+                    problem={"initial_profile": "interface"},
+                    solver={"max_iter": 1})
+    epsilons = [0.02, 0.01]
+    code, out = run_cli(["stability-sweep", "--config", _write_cfg(tmp_path, doc),
+                         "--epsilons", *map(str, epsilons)])
+    assert code == EXIT_SOLVER
+    err = _json_line(out)
+    assert err["error"] == "solver"
+    assert err["table"].endswith("pe_sweep.csv")
+    points = err["failed_points"]
+    assert [p["epsilon"] for p in points] == epsilons
+    for point in points:
+        assert point["config_hash"] == config_hash(
+            parse_config(dict(doc, epsilon=point["epsilon"])))
+        assert point["message"].startswith("forward solve failed on slab 1: ")
+        assert point["message"].count("slab") == 1
+        assert point["history"] and all(isinstance(h, float) for h in point["history"])
+    assert err["history"] == points[0]["history"]
 
 
 # ---------------------------------------------------------------------------

@@ -219,7 +219,9 @@ def test_newton_failure_carries_history_and_slab_context():
         solve_forward(run.problem, run.ops, run.partition, run.basis,
                       newton_cfg=NewtonConfig(max_iterations=1))
     err = excinfo.value
-    assert "slab 1" in str(err)
+    # one context prefix, not one per layer
+    assert str(err).startswith("forward solve failed on slab 1: ")
+    assert str(err).count("slab") == 1
     assert len(err.history) >= 1
     assert all(np.isfinite(r) for r in err.history)
 
