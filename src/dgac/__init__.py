@@ -7,7 +7,7 @@ and slab-local projections) and diagnostics (exact discrete identities,
 spectrum traces, convergence and stability studies) used to verify it.
 """
 
-from .mesh import Mesh, build_interval_mesh, build_square_mesh, mesh_to_json
+from .mesh import Mesh, build_interval_mesh, build_square_mesh
 from .space import FeSpace, build_space
 from .assembly import SpaceOperators
 from .linalg import (
@@ -25,7 +25,6 @@ from .characteristic import (
     characteristic_transfer_matrix,
     characteristic_apply,
     sup_norm_scan,
-    export_constant_table,
 )
 from .problems import (
     ManufacturedSolution,
@@ -51,7 +50,6 @@ from .companions import (
     BackwardSolution,
     solve_backward_dual,
     duality_identity_report,
-    duality_identity_residual,
     dual_stability_report,
     solve_backward_psi,
     psi_chain_report,
@@ -67,7 +65,6 @@ from .diagnostics import (
     RatioReport,
     UnsupportedConfigurationError,
     compute_norms,
-    energy_identity,
     energy_trace,
     stability_identity_report,
     spectrum_along_solution,
@@ -82,5 +79,25 @@ from .config import (
     instantiate,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "Mesh", "build_interval_mesh", "build_square_mesh", "FeSpace",
+    "build_space", "SpaceOperators", "LinearSolveConfig", "LinearSolveError",
+    "EigenResult", "factorize", "solve_linear",
+    "smallest_generalized_eigenvalue", "TimePartition", "TimeBasis",
+    "DgTimeOperators", "make_time_basis", "CharacteristicPoly",
+    "discrete_characteristic", "characteristic_transfer_matrix",
+    "characteristic_apply", "sup_norm_scan", "ManufacturedSolution",
+    "InitialProfile", "ProblemSpec", "MANUFACTURED", "PROFILES",
+    "make_problem", "NewtonConfig", "NewtonError", "SlabSolution",
+    "DgSolution", "l2_project", "solve_slab", "solve_forward",
+    "save_checkpoint", "load_checkpoint", "IdentityReport", "BackwardSolution",
+    "solve_backward_dual", "duality_identity_report", "dual_stability_report",
+    "solve_backward_psi", "psi_chain_report", "laplacian_consistency_residual",
+    "solve_parabolic_projection", "local_projection_slab", "local_projection",
+    "NormReport", "EnergyTrace", "SpectrumTrace", "RatioReport",
+    "UnsupportedConfigurationError", "compute_norms", "energy_trace",
+    "stability_identity_report", "spectrum_along_solution",
+    "best_approximation_ratio", "RunConfig", "ConfigError", "load_config",
+    "parse_config", "config_hash", "instantiate",
+]
 __version__ = "0.1.0"

@@ -133,6 +133,12 @@ class SpaceOperators:
         """Evaluate a spatial callable f(x) at the quadrature points, (ne, nq)."""
         return np.asarray(f(self.phys_points), dtype=float)
 
+    def time_fields(self, g, times) -> np.ndarray:
+        """Values of a callable g(t, x) at the quadrature points for each time,
+        (nt, ne, nq[, dim]).  g is called once per time, so it need not
+        broadcast in t."""
+        return np.stack([np.asarray(g(t, self.phys_points), dtype=float) for t in times])
+
     # -- assembled forms --------------------------------------------------------
 
     def mass(self) -> sp.csr_array:
@@ -218,12 +224,17 @@ class SpaceOperators:
     def gradient_load(self, g) -> np.ndarray:
         """Load vector (g, grad phi_a) for a vector field g.
 
-        g is a callable of x returning shape (..., dim), or an (ne, nq, dim)
+        g is a callable of x returning shape (..., dim), or a (..., ne, nq, dim)
         array of values at the quadrature points.
         """
         vals = g if isinstance(g, np.ndarray) else np.asarray(g(self.phys_points), dtype=float)
-        loc = np.einsum("q,eqd,eqad->ea", self.quad_weights, vals, self.grad_phys)
+        loc = np.einsum("q,...eqd,eqad->...ea", self.quad_weights, vals, self.grad_phys)
         return self._gather_load(self.dets[:, None] * loc)
+
+
+def quadratic_forms(K, rows: np.ndarray) -> np.ndarray:
+    """v^T K v for every row v of rows (r, n), (r,)."""
+    return np.einsum("ra,ra->r", rows, (K @ rows.T).T)
 
 
 def _bin_sum(slots: np.ndarray, n_bins: int, values: np.ndarray) -> np.ndarray:

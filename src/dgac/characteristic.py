@@ -200,16 +200,3 @@ def sup_norm_scan(k: int, n_cuts: int = 101, n_samples: int = 2001) -> dict:
         rows.append((float(t), sup))
         worst = max(worst, sup)
     return {"k": k, "n_cuts": n_cuts, "n_samples": n_samples, "table": rows, "constant": worst}
-
-
-def export_constant_table(path, k_max: int = 4, n_cuts: int = 101, n_samples: int = 2001) -> list:
-    """Write the empirical constants C_k for k = 0..k_max to a CSV file.
-
-    Each row is (k, constant) with the constant taken from sup_norm_scan
-    at the given scan resolution.  Returns the rows as (int, float) pairs.
-    """
-    rows = [(k, sup_norm_scan(k, n_cuts, n_samples)["constant"]) for k in range(k_max + 1)]
-    lines = ["k,constant"] + [f"{k},{c!r}" for k, c in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
-    return rows

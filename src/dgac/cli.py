@@ -82,6 +82,12 @@ def _solver_error_json(exc: Exception, message: str | None = None, **extra) -> s
     return _error_json("solver", str(exc) if message is None else message, **extra)
 
 
+def _write_json(path: str, doc) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _write_manifest(outdir: str, run_id: str, cfg: RunConfig, command: str,
                     outputs: list[str], extra: dict | None = None) -> str:
     doc = {
@@ -94,9 +100,7 @@ def _write_manifest(outdir: str, run_id: str, cfg: RunConfig, command: str,
     if extra:
         doc.update(extra)
     path = os.path.join(outdir, f"{run_id}_manifest.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     return path
 
 
@@ -106,6 +110,12 @@ def _print_guidance(cfg: RunConfig) -> None:
     print(f"resolution guidance (reported, not enforced): tau + h = {tau + h:.3e} "
           f"against the eps^4 scale {cfg.epsilon**4:.3e}; the proportionality "
           "constants are not computable, so small ratios are informative only.")
+
+
+def _solve(disc, problem: ProblemSpec | None = None):
+    """Forward solve of an instantiated config, optionally with another problem."""
+    return solve_forward(problem or disc.problem, disc.ops, disc.partition, disc.basis,
+                         newton_cfg=disc.newton, lin_cfg=disc.linear)
 
 
 def _resolve_outdir(cfg: RunConfig, out_flag: str | None) -> str:
@@ -123,8 +133,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     run_id = cfg.output.run_id
     _print_guidance(cfg)
     try:
-        sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
-                            newton_cfg=disc.newton, lin_cfg=disc.linear)
+        sol = _solve(disc)
     except SOLVER_ERRORS as exc:
         print(_solver_error_json(exc, config_hash=config_hash(cfg)))
         return EXIT_SOLVER
@@ -196,8 +205,7 @@ def cmd_convergence(cfg: RunConfig, outdir: str, levels: int, refine: str) -> in
         cfg_l = _refined(cfg, level, refine)
         disc = instantiate(cfg_l)
         try:
-            sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
-                                newton_cfg=disc.newton, lin_cfg=disc.linear)
+            sol = _solve(disc)
         except SOLVER_ERRORS as exc:
             failed = (level, exc, config_hash(cfg_l))
             break
@@ -254,8 +262,7 @@ def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> i
         cfg_e = dataclasses.replace(cfg, epsilon=float(eps))
         disc = instantiate(cfg_e)
         try:
-            sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
-                                newton_cfg=disc.newton, lin_cfg=disc.linear)
+            sol = _solve(disc)
         except SOLVER_ERRORS as exc:
             failures.append((exc, {"epsilon": float(eps), "config_hash": config_hash(cfg_e),
                                    "message": str(exc), **_evidence(exc)}))
@@ -289,6 +296,13 @@ def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> i
 # verify
 
 
+def _identity_entry(identity: str, lhs, rhs, residual, threshold: float, chash: str) -> dict:
+    """One verify record: both sides, the residual and its pass/fail status."""
+    return {"identity": identity, "lhs": lhs, "rhs": rhs, "residual": float(residual),
+            "threshold": threshold, "status": "pass" if residual <= threshold else "fail",
+            "config_hash": chash}
+
+
 def _energy_entry(cfg: RunConfig, disc, sol, chash: str) -> dict:
     if cfg.time.k == 0:
         return {"identity": "energy_balance", "status": "skipped (k=0)",
@@ -300,8 +314,7 @@ def _energy_entry(cfg: RunConfig, disc, sol, chash: str) -> dict:
         problem = ProblemSpec(dimension=problem.dimension, epsilon=problem.epsilon,
                               T=problem.T, u0=problem.u0, f=None, exact=None,
                               name=problem.name + "+f0")
-        sol = solve_forward(problem, disc.ops, disc.partition, disc.basis,
-                            newton_cfg=disc.newton, lin_cfg=disc.linear)
+        sol = _solve(disc, problem)
     trace = energy_trace(sol, problem, disc.ops)
     pts = sol.partition.points
     scaled = max(res / (1.0 + (pts[i + 1] - pts[i]) * er)
@@ -309,10 +322,7 @@ def _energy_entry(cfg: RunConfig, disc, sol, chash: str) -> dict:
     lhs = sum(t * e for t, e in zip(np.diff(pts), trace.right_energy)) \
         + sum(trace.weighted_dissipation)
     rhs = sum(trace.integrated_energy)
-    return {"identity": "energy_balance", "lhs": lhs, "rhs": rhs,
-            "residual": float(scaled), "threshold": 1e-10,
-            "status": "pass" if scaled <= 1e-10 else "fail",
-            "config_hash": chash}
+    return _identity_entry("energy_balance", lhs, rhs, scaled, 1e-10, chash)
 
 
 def _projection_moment_entry(cfg: RunConfig, disc, chash: str) -> dict:
@@ -324,36 +334,21 @@ def _projection_moment_entry(cfg: RunConfig, disc, chash: str) -> dict:
     proj = local_projection(exact.value, disc.partition, ops, basis)
     M = ops.mass()
     pts = disc.partition.points
-    k = cfg.time.k
-    worst, at = 0.0, (0.0, 0.0)
-
-    def consider(res, lhs_n, rhs_n):
-        nonlocal worst, at
-        if res > worst:
-            worst, at = res, (lhs_n, rhs_n)
-
+    moments = basis.quad_weights * basis.quad_points ** np.arange(cfg.time.k)[:, None]
+    lhs, rhs = [], []
     for n in range(1, disc.partition.n_slabs + 1):
         t0, tau = pts[n - 1], pts[n] - pts[n - 1]
         C = proj.coeffs(n)
-        # endpoint condition against the weak form of w(t_n)
-        w_end = ops.load(lambda x: exact.value(t0 + tau, x))
-        lhs_end = M @ C[-1]
-        consider(float(np.linalg.norm(lhs_end - w_end)) / (np.linalg.norm(w_end) + 1.0),
-                 float(np.linalg.norm(lhs_end)), float(np.linalg.norm(w_end)))
-        # moment conditions m = 0 .. k-1 against quadrature of w itself
-        for m in range(k):
-            lhs = np.zeros(disc.space.n_free)
-            rhs = np.zeros(disc.space.n_free)
-            for q, wq in enumerate(basis.quad_weights):
-                th = basis.quad_points[q]
-                lhs += wq * th**m * (M @ (basis.values[q] @ C))
-                rhs += wq * th**m * ops.load(lambda x: exact.value(t0 + tau * th, x))
-            consider(float(np.linalg.norm(lhs - rhs)) / (np.linalg.norm(rhs) + 1.0),
-                     float(np.linalg.norm(lhs)), float(np.linalg.norm(rhs)))
-    return {"identity": "projection_moments", "lhs": at[0], "rhs": at[1],
-            "residual": float(worst), "threshold": 1e-12,
-            "status": "pass" if worst <= 1e-12 else "fail",
-            "config_hash": chash}
+        loads = ops.load(ops.time_fields(
+            exact.value, np.append(t0 + tau * basis.quad_points, t0 + tau)))
+        # endpoint condition against the weak form of w(t_n), then the moment
+        # conditions m = 0 .. k-1 against quadrature of w itself
+        lhs += [M @ C[-1], *(moments @ (M @ (basis.values @ C).T).T)]
+        rhs += [loads[-1], *(moments @ loads[:-1])]
+    residuals = [float(np.linalg.norm(a - b)) / (np.linalg.norm(b) + 1.0) for a, b in zip(lhs, rhs)]
+    i = int(np.argmax(residuals))
+    return _identity_entry("projection_moments", float(np.linalg.norm(lhs[i])),
+                           float(np.linalg.norm(rhs[i])), residuals[i], 1e-12, chash)
 
 
 def _characteristic_entry(cfg: RunConfig, chash: str) -> dict:
@@ -367,10 +362,7 @@ def _characteristic_entry(cfg: RunConfig, chash: str) -> dict:
         for lhs, rhs in checks:
             if abs(lhs - rhs) > worst:
                 worst, at = abs(lhs - rhs), (lhs, rhs)
-    return {"identity": "characteristic_moments", "lhs": at[0], "rhs": at[1],
-            "residual": float(worst), "threshold": 1e-12,
-            "status": "pass" if worst <= 1e-12 else "fail",
-            "config_hash": chash}
+    return _identity_entry("characteristic_moments", *at, worst, 1e-12, chash)
 
 
 def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
@@ -384,24 +376,18 @@ def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
     run_id = cfg.output.run_id
     disc = instantiate(cfg)
     try:
-        sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
-                            newton_cfg=disc.newton, lin_cfg=disc.linear)
+        sol = _solve(disc)
         phi = solve_backward_dual(sol, disc.problem, ops=disc.ops, lin_cfg=disc.linear)
         dual = duality_identity_report(sol, phi, disc.problem)
-        reports = [{"identity": dual.name, "lhs": dual.lhs, "rhs": dual.rhs,
-                    "residual": dual.residual, "threshold": 1e-8,
-                    "status": "pass" if dual.residual <= 1e-8 else "fail",
-                    "config_hash": chash}]
-        reports.append(_energy_entry(cfg, disc, sol, chash))
-        reports.append(_projection_moment_entry(cfg, disc, chash))
-        reports.append(_characteristic_entry(cfg, chash))
+        reports = [_identity_entry(dual.name, dual.lhs, dual.rhs, dual.residual, 1e-8, chash),
+                   _energy_entry(cfg, disc, sol, chash),
+                   _projection_moment_entry(cfg, disc, chash),
+                   _characteristic_entry(cfg, chash)]
     except SOLVER_ERRORS as exc:
         print(_solver_error_json(exc, config_hash=chash))
         return EXIT_SOLVER
     path = os.path.join(outdir, f"{run_id}_identities.json")
-    with open(path, "w") as fh:
-        json.dump(reports, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, reports)
     _write_manifest(outdir, run_id, cfg, "verify", [path],
                     {"under_integrate": under_integrate})
     failures = []
@@ -432,8 +418,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str, samples: int) -> int:
     disc = instantiate(cfg)
     run_id = cfg.output.run_id
     try:
-        sol = solve_forward(disc.problem, disc.ops, disc.partition, disc.basis,
-                            newton_cfg=disc.newton, lin_cfg=disc.linear)
+        sol = _solve(disc)
         times = np.linspace(0.0, cfg.time.T, samples)
         trace = spectrum_along_solution(sol, disc.space, times, cfg.epsilon,
                                         ops=disc.ops)
@@ -446,9 +431,7 @@ def cmd_spectrum(cfg: RunConfig, outdir: str, samples: int) -> int:
                    "space; statements without boundary conditions can only "
                    "give smaller minima.")
     path = os.path.join(outdir, f"{run_id}_spectrum.json")
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, doc)
     _write_manifest(outdir, run_id, cfg, "spectrum", [path], {"samples": samples})
     print(f"lambda_min in [{min(trace.values):.4f}, {max(trace.values):.4f}], "
           f"implied constant {trace.implied_constant:.4f}")

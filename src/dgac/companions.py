@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SpaceOperators
+from .assembly import SpaceOperators, quadratic_forms
 from .forward import DgSolution, SlabSolution, l2_project
 from .linalg import LinearSolveConfig, factorize, solve_linear
 from .problems import ManufacturedSolution, ProblemSpec
@@ -107,10 +107,7 @@ def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     """
     if hasattr(u_ref, "eval_slab"):
         return ops.eval_free(u_ref.eval_slab(n, basis.quad_points))
-    return np.stack([
-        ops.evaluate_function(lambda x, tq=t0 + tau * q: u_ref(tq, x))
-        for q in basis.quad_points
-    ])
+    return ops.time_fields(u_ref, t0 + tau * basis.quad_points)
 
 
 def _march_backward(
@@ -225,10 +222,7 @@ def solve_backward_psi(
             return tau * (Theta @ (M @ rhs.coeffs(n).T).T)
     else:
         def data(n, t0, tau):
-            loads = np.stack([
-                ops.load(lambda x, tq=t0 + tau * q: rhs(tq, x))
-                for q in basis.quad_points
-            ])
+            loads = ops.load(ops.time_fields(rhs, t0 + tau * basis.quad_points))
             return tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
 
     out = _march_backward(data, reaction, shape, ops, lin_cfg, kind="linearized")
@@ -277,9 +271,8 @@ def duality_identity_report(
         lhs += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, uq))
         cross += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, pq))
         if problem.f is not None:
-            for iq, (q, w) in enumerate(zip(rule.quad_points, rule.quad_weights)):
-                fv = ops.load(lambda x, tq=pts[n - 1] + tau * q: problem.f(tq, x))
-                force += tau * w * float(fv @ pq[iq])
+            fv = ops.load(ops.time_fields(problem.f, pts[n - 1] + tau * rule.quad_points))
+            force += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, fv, pq))
     rhs = float(u_h.initial @ (M @ phi.left_plus(1))) + 2.0 / problem.epsilon**2 * cross + force
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
     return IdentityReport(
@@ -293,55 +286,45 @@ def duality_identity_report(
     )
 
 
-def duality_identity_residual(
-    u_h: DgSolution,
-    phi: BackwardSolution,
-    problem: ProblemSpec,
-    ops: SpaceOperators | None = None,
-) -> float:
-    """Scaled residual |LHS - RHS| / (|LHS| + |RHS| + 1) of the duality identity."""
-    return duality_identity_report(u_h, phi, problem, ops).residual
-
-
-def _backward_energy_report(
-    psi: BackwardSolution,
-    reaction_quadratic,
-    data_pairing,
-    ops: SpaceOperators,
-) -> tuple[list[float], list[float], list[float]]:
+def _backward_energy_report(psi: BackwardSolution, reaction, data, ops: SpaceOperators):
     """Per-slab balance of a backward solve tested with its own solution.
 
-    Returns (lhs_n, rhs_n, residual_n) where
+    reaction(n, t0, tau) gives the frozen reaction fields r (1/eps^2
+    included), (nq_t, ne, nq), and data(n, t0, tau) the data load vectors,
+    (nq_t, n_free), at the time quadrature points of slab n.  Returns
+    (lhs_n, rhs_n, residual_n, forms_n) where
 
       lhs_n = 1/2 ||psi_n(0)||^2 + 1/2 ||psi_n(1) - psi_in||^2
-              - 1/2 ||psi_in||^2 + int_slab [ a(psi,psi) + reaction(psi,psi) ]
-      rhs_n = int_slab (data, psi).
+              - 1/2 ||psi_in||^2 + int_slab [ a(psi,psi) + (r psi, psi) ]
+      rhs_n = int_slab (data, psi)
 
-    This is the computed system dotted with its own coefficients, so it
-    holds to solver tolerance with the solver's quadrature.
+    and forms_n = (a(psi_q, psi_q), ||psi_q||^2, (r_q psi_q, psi_q)), each
+    (nq_t,) over the time quadrature points.  The balance is the computed
+    system dotted with its own coefficients, so it holds to solver
+    tolerance with the solver's quadrature.
     """
     basis = psi.basis
+    w = basis.quad_weights
     M = ops.mass()
     A = ops.stiffness()
     pts = psi.partition.points
-    lhs_list, rhs_list, res_list = [], [], []
+    lhs_list, rhs_list, res_list, forms = [], [], [], []
     for n in range(1, psi.partition.n_slabs + 1):
-        tau = pts[n] - pts[n - 1]
+        t0, tau = pts[n - 1], pts[n] - pts[n - 1]
         start = psi.left_plus(n)
-        end = psi.right_trace(n)
         incoming = psi.incoming(n)
-        jump = end - incoming
-        lhs = 0.5 * float(start @ (M @ start)) + 0.5 * float(jump @ (M @ jump))
-        lhs -= 0.5 * float(incoming @ (M @ incoming))
+        jump = psi.right_trace(n) - incoming
         pq = psi.eval_slab(n, basis.quad_points)
-        for q, w in enumerate(basis.quad_weights):
-            row = pq[q]
-            lhs += tau * w * (float(row @ (A @ row)) + reaction_quadratic(n, q, row))
-        rhs = data_pairing(n, tau, pq)
+        a, m = quadratic_forms(A, pq), quadratic_forms(M, pq)
+        react = ops.integrate(reaction(n, t0, tau) * ops.eval_free(pq) ** 2)
+        lhs = (0.5 * float(start @ (M @ start)) + 0.5 * float(jump @ (M @ jump))
+               - 0.5 * float(incoming @ (M @ incoming)) + tau * float((a + react) @ w))
+        rhs = tau * float(np.einsum("q,qa,qa->", w, data(n, t0, tau), pq))
         lhs_list.append(lhs)
         rhs_list.append(rhs)
         res_list.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0))
-    return lhs_list, rhs_list, res_list
+        forms.append((a, m, react))
+    return lhs_list, rhs_list, res_list, forms
 
 
 def dual_stability_report(
@@ -365,52 +348,25 @@ def dual_stability_report(
     ops = ops or SpaceOperators(u_h.space)
     inv_eps2 = 1.0 / problem.epsilon**2
     basis = u_h.basis
+    w = basis.quad_weights
     M = ops.mass()
-    pts = u_h.partition.points
-    u_fields: dict[int, np.ndarray] = {}
 
-    def ufield(n):
-        if n not in u_fields:
-            tau = pts[n] - pts[n - 1]
-            u_fields[n] = _reference_values(u_h, n, pts[n - 1], tau, basis, ops)
-        return u_fields[n]
+    def reaction(n, t0, tau):
+        return inv_eps2 * (_reference_values(u_h, n, t0, tau, basis, ops) ** 2 + 1.0)
 
-    def reaction_quadratic(n, q, row):
-        pv = ops.eval_free(row)
-        uv = ufield(n)[q]
-        return inv_eps2 * (ops.integrate((uv * pv) ** 2) + ops.integrate(pv**2))
+    def data(n, t0, tau):
+        return (M @ u_h.eval_slab(n, basis.quad_points).T).T
 
-    def data_pairing(n, tau, pq):
-        mu = (M @ u_h.eval_slab(n, basis.quad_points).T).T
-        return tau * float(np.einsum("q,qa,qa->", basis.quad_weights, mu, pq))
+    lhs_n, rhs_n, res_n, forms = _backward_energy_report(phi, reaction, data, ops)
 
-    lhs_n, rhs_n, res_n = _backward_energy_report(
-        phi, reaction_quadratic, data_pairing, ops)
-
-    # Young-form bound assembled from the same computed quantities.
-    grad_sq = 0.0
-    u_phi_sq = 0.0
-    phi_sq = 0.0
-    u_sq = 0.0
-    jumps = 0.0
-    A = ops.stiffness()
-    for n in range(1, u_h.partition.n_slabs + 1):
-        tau = pts[n] - pts[n - 1]
-        pq = phi.eval_slab(n, basis.quad_points)
-        uslab = u_h.eval_slab(n, basis.quad_points)
-        uq = ufield(n)
-        for q, w in enumerate(basis.quad_weights):
-            row = pq[q]
-            pv = ops.eval_free(row)
-            grad_sq += tau * w * float(row @ (A @ row))
-            u_phi_sq += tau * w * ops.integrate((uq[q] * pv) ** 2)
-            phi_sq += tau * w * float(row @ (M @ row))
-            u_sq += tau * w * float(uslab[q] @ (M @ uslab[q]))
-        jump = phi.right_trace(n) - phi.incoming(n)
-        jumps += float(jump @ (M @ jump))
-    start = phi.left_plus(1)
-    young_lhs = (0.5 * float(start @ (M @ start)) + 0.5 * jumps + grad_sq
-                 + inv_eps2 * u_phi_sq + 0.5 * inv_eps2 * phi_sq)
+    # Young form from the same slab forms: the boundary terms of the slab
+    # balances telescope to 1/2 ||phi(0+)||^2 + 1/2 sum ||[phi]||^2, and the
+    # reaction (u_h^2 + 1)/eps^2 carries (1/eps^2) int ||phi||^2 in full.
+    taus = u_h.partition.tau
+    phi_sq = sum(tau * float(m @ w) for tau, (_, m, _) in zip(taus, forms))
+    u_sq = sum(tau * float(quadratic_forms(M, u_h.eval_slab(n, basis.quad_points)) @ w)
+               for n, tau in enumerate(taus, start=1))
+    young_lhs = sum(lhs_n) - 0.5 * inv_eps2 * phi_sq
     young_rhs = 0.5 * problem.epsilon**2 * u_sq
     return IdentityReport(
         name="backward_dual_stability",
@@ -450,49 +406,27 @@ def psi_chain_report(
     inv_eps2 = 1.0 / problem.epsilon**2
     basis = psi.basis
     M = ops.mass()
-    A = ops.stiffness()
-    pts = psi.partition.points
-    ref_fields: dict[int, np.ndarray] = {}
 
-    def rfield(n):
-        if n not in ref_fields:
-            tau = pts[n] - pts[n - 1]
-            ref_fields[n] = _reference_values(u_ref, n, pts[n - 1], tau, basis, ops)
-        return ref_fields[n]
-
-    def reaction_quadratic(n, q, row):
-        pv = ops.eval_free(row)
-        return inv_eps2 * ops.integrate((3.0 * rfield(n)[q] ** 2 - 1.0) * pv**2)
+    def reaction(n, t0, tau):
+        return inv_eps2 * (3.0 * _reference_values(u_ref, n, t0, tau, basis, ops) ** 2 - 1.0)
 
     if hasattr(rhs, "coeffs"):
-        def data_pairing(n, tau, pq):
-            g = (M @ rhs.eval_slab(n, basis.quad_points).T).T
-            return tau * float(np.einsum("q,qa,qa->", basis.quad_weights, g, pq))
+        def data(n, t0, tau):
+            return (M @ rhs.eval_slab(n, basis.quad_points).T).T
     else:
-        def data_pairing(n, tau, pq):
-            t0 = pts[n - 1]
-            total = 0.0
-            for q, w in enumerate(basis.quad_weights):
-                gv = ops.load(lambda x, tq=t0 + tau * basis.quad_points[q]: rhs(tq, x))
-                total += tau * w * float(gv @ pq[q])
-            return total
+        def data(n, t0, tau):
+            return ops.load(ops.time_fields(rhs, t0 + tau * basis.quad_points))
 
-    lhs_n, rhs_n, res_n = _backward_energy_report(
-        psi, reaction_quadratic, data_pairing, ops)
+    lhs_n, rhs_n, res_n, forms = _backward_energy_report(psi, reaction, data, ops)
     details = {"per_slab_residuals": [float(r) for r in res_n]}
     if spectral_floor is not None:
+        pts = psi.partition.points
         slacks = []
-        for n in range(1, psi.partition.n_slabs + 1):
+        for n, (a, m, react) in enumerate(forms, start=1):
             tau = pts[n] - pts[n - 1]
-            pq = psi.eval_slab(n, basis.quad_points)
-            form = 0.0
-            floor = 0.0
-            for q, w in enumerate(basis.quad_weights):
-                row = pq[q]
-                form += tau * w * (float(row @ (A @ row)) + reaction_quadratic(n, q, row))
-                lam = spectral_floor(pts[n - 1] + tau * basis.quad_points[q])
-                floor += tau * w * lam * float(row @ (M @ row))
-            slacks.append(float(form - floor))
+            # spectral_floor is a scalar callable of t
+            lam = np.array([spectral_floor(t) for t in pts[n - 1] + tau * basis.quad_points])
+            slacks.append(tau * float((a + react - lam * m) @ basis.quad_weights))
         details["spectral_slack_per_slab"] = slacks
     return IdentityReport(
         name="linearized_backward_stability",
@@ -506,16 +440,9 @@ def psi_chain_report(
 def laplacian_consistency_residual(psi: BackwardSolution, ops: SpaceOperators | None = None) -> float:
     """Worst residual of (Delta_h psi, w) = a(psi, w) over nodes and slabs."""
     ops = ops or SpaceOperators(psi.space)
-    M = ops.mass()
-    A = ops.stiffness()
-    worst = 0.0
-    for coeffs, lap in zip(psi.slab_coeffs, psi.laplacian):
-        for row, drow in zip(coeffs, lap):
-            lhs = M @ drow
-            rhs = A @ row
-            scale = float(np.linalg.norm(rhs)) + 1.0
-            worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
-    return worst
+    lhs = ops.mass() @ np.concatenate(psi.laplacian).T
+    rhs = ops.stiffness() @ np.concatenate(psi.slab_coeffs).T
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=0) / (np.linalg.norm(rhs, axis=0) + 1.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +478,9 @@ def solve_parabolic_projection(
             solve = None  # release the previous factorization first
             solve = factorize(ops.slab_operator(basis, time_ops.G, time_ops.Theta, tau), lin_cfg)
             step = tau
-        loads = np.stack([
-            ops.load(lambda x, tq=t0 + tau * q: exact.dt(tq, x))
-            + ops.gradient_load(lambda x, tq=t0 + tau * q: exact.grad(tq, x))
-            for q in basis.quad_points
-        ])
+        times = t0 + tau * basis.quad_points
+        loads = (ops.load(ops.time_fields(exact.dt, times))
+                 + ops.gradient_load(ops.time_fields(exact.grad, times)))
         rhs = np.outer(time_ops.left_load, M @ p_prev)
         rhs += tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
         coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
@@ -585,18 +510,12 @@ def local_projection_slab(
     followed by mass solves.  The moment integrals use the basis rule, so
     they are exact for polynomial w and match the verification quadrature.
     """
-    k = basis.k
-    tau = t_end - t_start
-    qp, qw = basis.quad_points, basis.quad_weights
-    loads = np.stack([ops.load(lambda x, tq=t_start + tau * q: w(tq, x)) for q in qp])
-
-    T = np.zeros((k + 1, k + 1))
-    R = np.zeros((k + 1, ops.space.n_free))
-    for m in range(k):
-        T[m] = np.einsum("q,q,qj->j", qw, qp**m, basis.values)
-        R[m] = np.einsum("q,q,qa->a", qw, qp**m, loads)
-    T[k] = basis.right_values
-    R[k] = ops.load(lambda x: w(t_end, x))
+    qp = basis.quad_points
+    # loads at the time quadrature points, then at t_end
+    loads = ops.load(ops.time_fields(w, np.append(t_start + (t_end - t_start) * qp, t_end)))
+    moments = basis.quad_weights * qp ** np.arange(basis.k)[:, None]   # (k, nq_t)
+    T = np.vstack([moments @ basis.values, basis.right_values])
+    R = np.vstack([moments @ loads[:-1], loads[-1:]])
     Y = np.linalg.solve(T, R)
     mass_solve = ops.mass_solver(lin_cfg)
     return np.stack([mass_solve(y) for y in Y])

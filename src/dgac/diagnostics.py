@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SpaceOperators
+from .assembly import SpaceOperators, quadratic_forms
 from .companions import IdentityReport
 from .forward import DgSolution
 from .linalg import EigenResult, smallest_generalized_eigenvalue
@@ -115,25 +115,8 @@ class RatioReport:
 # norms
 
 
-def _quadratic_forms(K, rows: np.ndarray) -> np.ndarray:
-    """v^T K v for every row v of rows."""
-    return np.einsum("ra,ra->r", rows, (K @ rows.T).T)
-
-
-def _self_norms(sol: DgSolution, ops: SpaceOperators) -> NormReport:
-    basis = sol.basis
-    M = ops.mass()
-    A = ops.stiffness()
-    w = basis.quad_weights
-    samples = basis.eval(_time_samples(basis.k))
-    per = {key: [] for key in ("L2L2", "LinfL2", "L2H1", "L4L4")}
-    for slab, tau in zip(sol.slabs, sol.partition.tau):
-        uq = basis.values @ slab.coeffs                   # (nq, n_free)
-        sq = _quadratic_forms(M, uq)
-        per["L2L2"].append(tau * float(sq @ w))
-        per["L2H1"].append(tau * float((sq + _quadratic_forms(A, uq)) @ w))
-        per["L4L4"].append(tau * float(ops.integrate(ops.eval_free(uq) ** 4) @ w))
-        per["LinfL2"].append(float(_quadratic_forms(M, samples @ slab.coeffs).max()))
+def _norm_report(sol: DgSolution, per: dict, M) -> NormReport:
+    """NormReport from per-slab squared norms plus the jump sum of sol."""
     jump_sum = sum(
         float(j @ (M @ j)) for j in (sol.jump(i) for i in range(sol.partition.n_slabs))
     )
@@ -145,6 +128,23 @@ def _self_norms(sol: DgSolution, ops: SpaceOperators) -> NormReport:
         jump_sum=float(jump_sum),
         per_slab=per,
     )
+
+
+def _self_norms(sol: DgSolution, ops: SpaceOperators) -> NormReport:
+    basis = sol.basis
+    M = ops.mass()
+    A = ops.stiffness()
+    w = basis.quad_weights
+    samples = basis.eval(_time_samples(basis.k))
+    per = {key: [] for key in ("L2L2", "LinfL2", "L2H1", "L4L4")}
+    for slab, tau in zip(sol.slabs, sol.partition.tau):
+        uq = basis.values @ slab.coeffs                   # (nq, n_free)
+        sq = quadratic_forms(M, uq)
+        per["L2L2"].append(tau * float(sq @ w))
+        per["L2H1"].append(tau * float((sq + quadratic_forms(A, uq)) @ w))
+        per["L4L4"].append(tau * float(ops.integrate(ops.eval_free(uq) ** 4) @ w))
+        per["LinfL2"].append(float(quadratic_forms(M, samples @ slab.coeffs).max()))
+    return _norm_report(sol, per, M)
 
 
 def _error_norms(sol: DgSolution, reference, ops_ref: SpaceOperators) -> NormReport:
@@ -166,6 +166,7 @@ def _error_norms(sol: DgSolution, reference, ops_ref: SpaceOperators) -> NormRep
         tau = pts[n] - pts[n - 1]
         uq = sol.eval_slab(n, qp)
         l2, h1, l4 = 0.0, 0.0, 0.0
+        # Per time point on purpose: batching all 2k+8 raised 2d P2 peak memory by a third.
         for q, w in enumerate(qw):
             t = t0 + tau * qp[q]
             diff = ops_ref.eval_free(uq[q]) - ops_ref.evaluate_function(
@@ -186,17 +187,12 @@ def _error_norms(sol: DgSolution, reference, ops_ref: SpaceOperators) -> NormRep
         per["L2H1"].append(h1)
         per["L4L4"].append(l4)
         per["LinfL2"].append(linf)
-    jump_sum = sum(
-        float(j @ (M @ j)) for j in (sol.jump(i) for i in range(sol.partition.n_slabs))
-    )
-    return NormReport(
-        L2L2=float(np.sqrt(sum(per["L2L2"]))),
-        LinfL2=float(np.sqrt(max(per["LinfL2"]))),
-        L2H1=float(np.sqrt(sum(per["L2H1"]))),
-        L4L4=float(sum(per["L4L4"]) ** 0.25),
-        jump_sum=float(jump_sum),
-        per_slab=per,
-    )
+    return _norm_report(sol, per, M)
+
+
+def _elevated_ops(space: FeSpace) -> SpaceOperators:
+    """Operators with the elevated element rule of the error norms."""
+    return SpaceOperators(space, exact_degree=4 * space.degree + 6)
 
 
 def compute_norms(sol: DgSolution, reference=None, ops: SpaceOperators | None = None) -> NormReport:
@@ -211,60 +207,47 @@ def compute_norms(sol: DgSolution, reference=None, ops: SpaceOperators | None = 
     """
     if reference is None:
         return _self_norms(sol, ops or SpaceOperators(sol.space))
-    ops_ref = SpaceOperators(sol.space, exact_degree=4 * sol.space.degree + 6)
-    return _error_norms(sol, reference, ops_ref)
+    return _error_norms(sol, reference, _elevated_ops(sol.space))
 
 
 # ---------------------------------------------------------------------------
 # energy balance
 
 
-def _energy(row: np.ndarray, ops: SpaceOperators, A, inv_eps2: float) -> float:
-    """E(v) = 1/2 ||grad v||^2 + (1/(4 eps^2)) int (v^2 - 1)^2."""
-    vals = ops.eval_free(row)
-    return 0.5 * float(row @ (A @ row)) + 0.25 * inv_eps2 * ops.integrate((vals**2 - 1.0) ** 2)
-
-
-def energy_identity(sol: DgSolution, problem: ProblemSpec, slab_n: int) -> float:
-    """Absolute residual of the slab-local energy balance
-
-        tau_n E(u(t_n^-)) - int_slab E(u) dt + int_slab (t - t_{n-1}) ||u_t||^2 dt = 0,
-
-    which holds for the computed solution whenever f = 0 and k >= 1 (the
-    derivation tests the scheme with (t - t_{n-1}) u_t, a polynomial of
-    degree k only when k >= 1).  Other configurations raise
-    UnsupportedConfigurationError.
-    """
-    if sol.basis.k < 1:
-        raise UnsupportedConfigurationError("energy balance needs k >= 1")
-    if problem.f is not None:
-        raise UnsupportedConfigurationError("energy balance needs f = 0")
-    ops = SpaceOperators(sol.space)
-    return _energy_residual(sol, problem, slab_n, ops)[3]
+def _energy(rows: np.ndarray, ops: SpaceOperators, A, inv_eps2: float) -> np.ndarray:
+    """E(v) = 1/2 ||grad v||^2 + (1/(4 eps^2)) int (v^2 - 1)^2 for every row v."""
+    vals = ops.eval_free(rows)
+    return 0.5 * quadratic_forms(A, rows) + 0.25 * inv_eps2 * ops.integrate((vals**2 - 1.0) ** 2)
 
 
 def _energy_residual(sol, problem, n, ops) -> tuple[float, float, float, float]:
+    """Slab-local energy balance of slab n,
+
+        tau_n E(u(t_n^-)) - int_slab E(u) dt + int_slab (t - t_{n-1}) ||u_t||^2 dt = 0.
+
+    Returns E(u(t_n^-)), int_slab E(u) dt, the weighted dissipation and the
+    absolute residual.
+    """
     basis = sol.basis
-    A = ops.stiffness()
-    M = ops.mass()
-    inv_eps2 = 1.0 / problem.epsilon**2
-    pts = sol.partition.points
-    tau = pts[n] - pts[n - 1]
+    w = basis.quad_weights
+    tau = sol.partition.tau[n - 1]
     U = sol.coeffs(n)
-    e_right = _energy(sol.right_trace(n), ops, A, inv_eps2)
-    uq = basis.values @ U
-    int_e = 0.0
-    for q, w in enumerate(basis.quad_weights):
-        int_e += tau * w * _energy(uq[q], ops, A, inv_eps2)
-    diss = 0.0
-    for q, w in enumerate(basis.quad_weights):
-        du = basis.derivatives[q] @ U
-        diss += w * basis.quad_points[q] * float(du @ (M @ du))
+    energies = _energy(np.vstack([sol.right_trace(n), basis.values @ U]), ops,
+                       ops.stiffness(), 1.0 / problem.epsilon**2)
+    e_right = float(energies[0])
+    int_e = tau * float(energies[1:] @ w)
+    diss = float(quadratic_forms(ops.mass(), basis.derivatives @ U) @ (w * basis.quad_points))
     return e_right, int_e, diss, abs(tau * e_right - int_e + diss)
 
 
 def energy_trace(sol: DgSolution, problem: ProblemSpec, ops: SpaceOperators | None = None) -> EnergyTrace:
-    """Per-slab energy balance over the whole run (f = 0, k >= 1)."""
+    """Per-slab energy balance over the whole run.
+
+    The balance holds for the computed solution whenever f = 0 and k >= 1
+    (the derivation tests the scheme with (t - t_{n-1}) u_t, a polynomial
+    of degree k only when k >= 1).  Other configurations raise
+    UnsupportedConfigurationError.
+    """
     if sol.basis.k < 1:
         raise UnsupportedConfigurationError("energy balance needs k >= 1")
     if problem.f is not None:
@@ -300,6 +283,7 @@ def stability_identity_report(
     A = ops.stiffness()
     inv_eps2 = 1.0 / problem.epsilon**2
     pts = sol.partition.points
+    w = basis.quad_weights
     lhs_total, rhs_total = 0.0, 0.0
     residuals = []
     for n in range(1, sol.partition.n_slabs + 1):
@@ -308,19 +292,15 @@ def stability_identity_report(
         um = sol.right_trace(n)
         uprev = sol.right_trace(n - 1)
         jump = sol.left_plus(n) - uprev
-        lhs = (0.5 * float(um @ (M @ um)) - 0.5 * float(uprev @ (M @ uprev))
-               + 0.5 * float(jump @ (M @ jump)))
-        rhs = 0.0
         uq = sol.eval_slab(n, basis.quad_points)
-        for q, w in enumerate(basis.quad_weights):
-            row = uq[q]
-            vals = ops.eval_free(row)
-            lhs += tau * w * (float(row @ (A @ row))
-                              + inv_eps2 * (ops.integrate(vals**4) - ops.integrate(vals**2)))
-            if problem.f is not None:
-                fv = ops.evaluate_function(
-                    lambda x, tq=t0 + tau * basis.quad_points[q]: problem.f(tq, x))
-                rhs += tau * w * ops.integrate(fv * vals)
+        vals = ops.eval_free(uq)
+        forms = quadratic_forms(A, uq) + inv_eps2 * (ops.integrate(vals**4) - ops.integrate(vals**2))
+        lhs = (0.5 * float(um @ (M @ um)) - 0.5 * float(uprev @ (M @ uprev))
+               + 0.5 * float(jump @ (M @ jump)) + tau * float(forms @ w))
+        rhs = 0.0
+        if problem.f is not None:
+            fv = ops.time_fields(problem.f, t0 + tau * basis.quad_points)
+            rhs = tau * float(ops.integrate(fv * vals) @ w)
         residuals.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0))
         lhs_total += lhs
         rhs_total += rhs
@@ -390,8 +370,9 @@ def best_approximation_ratio(
     discrete space) the quotient is noise; that case is flagged instead
     of reported as a rate.
     """
-    err_h = compute_norms(u_h, reference=reference)
-    err_p = compute_norms(u_p, reference=reference)
+    ops_ref = _elevated_ops(u_h.space)  # u_h and u_p share one space
+    err_h = _error_norms(u_h, reference, ops_ref)
+    err_p = _error_norms(u_p, reference, ops_ref)
     num = err_h.L2H1 + err_h.LinfL2
     den = err_p.L2H1 + err_p.LinfL2
     if num <= exact_threshold and den <= exact_threshold:

@@ -243,12 +243,8 @@ def solve_forward(
     for n in range(1, partition.n_slabs + 1):
         t0, t1 = pts[n - 1], pts[n]
         tau = t1 - t0
-        if problem.f is None:
-            floads = None
-        else:
-            floads = np.stack(
-                [ops.load(lambda x, tq=t0 + tau * q: problem.f(tq, x)) for q in basis.quad_points]
-            )
+        floads = None if problem.f is None else ops.load(
+            ops.time_fields(problem.f, t0 + tau * basis.quad_points))
         system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
         U, _ = solve_slab(system, guess, newton_cfg, lin_cfg,

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,31 +124,3 @@ def element_edges(mesh: Mesh) -> tuple[dict[tuple[int, int], int], np.ndarray]:
             else:
                 counts[edge_ids[key]] += 1
     return edge_ids, np.asarray(counts, dtype=np.int64)
-
-
-def mesh_to_json(mesh: Mesh, path: str | None = None) -> dict:
-    """Serialize a mesh; writes the JSON file when path is given."""
-    doc = {
-        "dimension": mesh.dimension,
-        "n_vertices": mesh.n_vertices,
-        "n_elements": mesh.n_elements,
-        "mesh_size": mesh.mesh_size,
-        "vertices": mesh.vertices.tolist(),
-        "elements": mesh.elements.tolist(),
-        "boundary_vertices": mesh.boundary_vertices.tolist(),
-    }
-    if path is not None:
-        with open(path, "w") as fh:
-            json.dump(doc, fh)
-    return doc
-
-
-def mesh_from_json(doc: dict) -> Mesh:
-    """Inverse of mesh_to_json."""
-    return Mesh(
-        dimension=int(doc["dimension"]),
-        vertices=np.asarray(doc["vertices"], dtype=float),
-        elements=np.asarray(doc["elements"], dtype=np.int64),
-        boundary_vertices=np.asarray(doc["boundary_vertices"], dtype=np.int64),
-        mesh_size=float(doc["mesh_size"]),
-    )

@@ -7,7 +7,6 @@ from dgac import (
     characteristic_apply,
     characteristic_transfer_matrix,
     discrete_characteristic,
-    export_constant_table,
     make_time_basis,
     sup_norm_scan,
 )
@@ -151,13 +150,3 @@ def test_scan_is_resolution_stable():
     fine = sup_norm_scan(2, n_cuts=301, n_samples=6001)["constant"]
     assert abs(coarse - fine) <= 1e-3
 
-
-def test_export_constant_table(tmp_path):
-    path = tmp_path / "constants.csv"
-    rows = export_constant_table(str(path), k_max=2, n_cuts=51, n_samples=501)
-    assert [k for k, _ in rows] == [0, 1, 2]
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "k,constant"
-    assert len(lines) == 4
-    parsed = [float(line.split(",")[1]) for line in lines[1:]]
-    np.testing.assert_allclose(parsed, [c for _, c in rows], rtol=0)

@@ -15,7 +15,6 @@ from dgac import (
     build_interval_mesh,
     build_space,
     compute_norms,
-    energy_identity,
     energy_trace,
     local_projection,
     make_time_basis,
@@ -163,8 +162,6 @@ def test_energy_trace_balance_and_decay(k):
     assert all(d >= 0.0 for d in trace.weighted_dissipation)
     diffs = np.diff(trace.right_energy)
     assert np.all(diffs <= 1e-12)
-    assert energy_identity(sol, run.problem, 3) == pytest.approx(
-        trace.residuals[2], abs=1e-15)
 
 
 def test_energy_balance_rejects_k0():
@@ -172,8 +169,6 @@ def test_energy_balance_rejects_k0():
     sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
     with pytest.raises(UnsupportedConfigurationError, match="k >= 1"):
         energy_trace(sol, run.problem, run.ops)
-    with pytest.raises(UnsupportedConfigurationError, match="k >= 1"):
-        energy_identity(sol, run.problem, 1)
 
 
 def test_energy_balance_rejects_forced_problems(solved_default):

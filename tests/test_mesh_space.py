@@ -1,7 +1,5 @@
 """Meshes, reference elements and finite element spaces."""
 
-import json
-
 import numpy as np
 import pytest
 
@@ -10,9 +8,8 @@ from dgac import (
     build_interval_mesh,
     build_space,
     build_square_mesh,
-    mesh_to_json,
 )
-from dgac.mesh import element_edges, mesh_from_json
+from dgac.mesh import element_edges
 from dgac.space import ReferenceElement
 
 from _helpers import p1_error_norms_1d, tridiag_mass, tridiag_stiffness
@@ -94,22 +91,6 @@ def test_element_edges():
     assert sorted(counts.tolist()).count(2) == 8
     with pytest.raises(ValueError):
         element_edges(build_interval_mesh(2))
-
-
-def test_mesh_json_roundtrip(tmp_path):
-    for mesh in (build_interval_mesh(5), build_square_mesh(3)):
-        doc = mesh_to_json(mesh)
-        back = mesh_from_json(doc)
-        np.testing.assert_allclose(back.vertices, mesh.vertices)
-        np.testing.assert_array_equal(back.elements, mesh.elements)
-        np.testing.assert_array_equal(back.boundary_vertices,
-                                      mesh.boundary_vertices)
-        assert back.mesh_size == pytest.approx(mesh.mesh_size)
-
-    path = tmp_path / "mesh.json"
-    mesh_to_json(build_interval_mesh(3), str(path))
-    loaded = json.loads(path.read_text())
-    assert loaded["n_vertices"] == 4
 
 
 def test_nested_refinement_shares_vertices():
