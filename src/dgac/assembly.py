@@ -59,9 +59,8 @@ class SpaceOperators:
         if mesh.dimension == 1:
             jac = verts[:, 1, :] - v0              # (ne, 1)
             self.dets = np.abs(jac[:, 0])
-            inv_jac_t = (1.0 / jac[:, 0])[:, None, None]   # (ne,1,1)
+            inv = (1.0 / jac)[:, :, None]          # (ne, 1, 1)
             self.phys_points = v0[:, None, :] + pts[None, :, :] * jac[:, None, :]
-            self.grad_phys = grad_ref[None, :, :, :] * inv_jac_t[:, None, :, :]
         else:
             b = np.stack([verts[:, 1, :] - v0, verts[:, 2, :] - v0], axis=-1)  # (ne,2,2) columns
             det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
@@ -73,8 +72,12 @@ class SpaceOperators:
             inv[:, 1, 1] = b[:, 0, 0]
             inv /= det[:, None, None]
             self.phys_points = v0[:, None, :] + np.einsum("qd,edc->eqc", pts, b)
-            # grad_x phi = B^{-T} grad_ref phi
-            self.grad_phys = np.einsum("edc,qad->eqac", inv, grad_ref)
+        # grad_x phi = B^{-T} grad_ref phi, written in place into one table
+        # (ne, ldof, nq, dim) so that eval_grad_free is one GEMV per element;
+        # grad_phys is its (ne, nq, ldof, dim) view.
+        self._grad_table = np.empty((self.dets.size, grad_ref.shape[1]) + pts.shape)
+        np.einsum("edc,qad->eaqc", inv, grad_ref, out=self._grad_table)
+        self.grad_phys = self._grad_table.transpose(0, 2, 1, 3)
 
         # Fixed free-dof CSR pattern shared by M, A and every W(.): each
         # element entry (e, a, b) has a slot in the pattern's data, or the
@@ -120,9 +123,12 @@ class SpaceOperators:
         return nodal @ self.basis_values.T
 
     def eval_grad_free(self, u_free: np.ndarray) -> np.ndarray:
-        """Gradients at quadrature points, (ne, nq, dim)."""
-        nodal = self.space.scatter(u_free)[self.space.element_dofs]
-        return np.matmul(nodal[:, None, None, :], self.grad_phys)[:, :, 0, :]
+        """Gradients of free-dof functions (..., n_free) at all quadrature
+        points, (..., ne, nq, dim)."""
+        nodal = self.space.scatter(u_free)[..., self.space.element_dofs]   # (..., ne, ldof)
+        ne, ldof, nq, dim = self._grad_table.shape
+        grads = nodal[..., None, :] @ self._grad_table.reshape(ne, ldof, nq * dim)
+        return grads.reshape(nodal.shape[:-1] + (nq, dim))
 
     def integrate(self, values: np.ndarray):
         """Integrate quadrature-point fields (..., ne, nq) over the domain; a

@@ -8,10 +8,13 @@ import pytest
 
 from dgac import (
     ConfigError,
+    SpaceOperators,
     config_hash,
     instantiate,
     load_checkpoint,
     load_config,
+    local_projection,
+    make_time_basis,
     parse_config,
 )
 
@@ -427,6 +430,25 @@ def test_cli_verify_all_pass(tmp_path):
     assert by_name["characteristic_moments"]["threshold"] == 1e-12
     expected_hash = config_hash(parse_config(doc))
     assert all(e["config_hash"] == expected_hash for e in entries)
+
+
+def test_cli_verify_projection_moments_report_the_endpoint_row(tmp_path):
+    doc = _base_doc(tmp_path, run_id="pm", mesh={"n": 8},
+                    time={"T": 0.5, "N_slabs": 3, "k": 2})
+    code, _ = run_cli(["verify", "--config", _write_cfg(tmp_path, doc)])
+    assert code == 0
+    entries = json.loads((tmp_path / "out" / "pm_identities.json").read_text())
+    entry = {e["identity"]: e for e in entries}["projection_moments"]
+    # lhs/rhs are the norms of the last slab's endpoint condition
+    # M C(t_N) = (w(t_N), phi), whatever row has the largest residual
+    disc = instantiate(parse_config(doc))
+    ops = SpaceOperators(disc.space)
+    proj = local_projection(disc.problem.exact.value, disc.partition, ops, make_time_basis(2))
+    end = ops.mass() @ proj.right_trace(disc.partition.n_slabs)
+    w_end = ops.load(lambda x: disc.problem.exact.value(disc.partition.T, x))
+    assert entry["lhs"] == pytest.approx(float(np.linalg.norm(end)), rel=1e-12)
+    assert entry["rhs"] == pytest.approx(float(np.linalg.norm(w_end)), rel=1e-12)
+    assert entry["residual"] <= 1e-12
 
 
 def test_cli_verify_under_integration_fails_duality(tmp_path):

@@ -205,7 +205,7 @@ def test_psi_chain_balance_and_spectral_floor():
                              lin_cfg=LIN)
     A = run.ops.stiffness()
     M = run.ops.mass()
-    lam = smallest_generalized_eigenvalue(A + (2.0 / 0.5**2) * M, M).value
+    lam = smallest_generalized_eigenvalue(A + (2.0 / 0.5**2) * M, M, shift=7.0).value
     rep = psi_chain_report(psi, _ones_ref, g, run.problem, run.ops,
                            spectral_floor=lambda t: lam)
     assert rep.name == "linearized_backward_stability"

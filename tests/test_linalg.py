@@ -112,7 +112,7 @@ def test_singular_system_raises():
 
 def test_laplace_eigenvalue_interval():
     ops = _ops(64)
-    res = smallest_generalized_eigenvalue(ops.stiffness(), ops.mass())
+    res = smallest_generalized_eigenvalue(ops.stiffness(), ops.mass(), shift=-1.0)
     assert res.value == pytest.approx(np.pi**2, rel=1e-2)
     assert not res.used_dense_fallback
     # the reported value is the Rayleigh quotient of the returned vector
@@ -125,7 +125,7 @@ def test_laplace_eigenvalue_interval():
 def test_shifted_form_and_explicit_shift():
     ops = _ops(64)
     A = ops.stiffness() - ops.mass()
-    res = smallest_generalized_eigenvalue(A, ops.mass())
+    res = smallest_generalized_eigenvalue(A, ops.mass(), shift=-2.0)
     assert res.value == pytest.approx(np.pi**2 - 1.0, rel=1e-2)
     res2 = smallest_generalized_eigenvalue(A, ops.mass(), shift=2.0)
     assert res2.value == pytest.approx(res.value, abs=1e-8)
@@ -133,9 +133,19 @@ def test_shifted_form_and_explicit_shift():
 
 def test_laplace_eigenvalue_square():
     ops = _ops(8, dim=2)
-    res = smallest_generalized_eigenvalue(ops.stiffness(), ops.mass())
+    res = smallest_generalized_eigenvalue(ops.stiffness(), ops.mass(), shift=-1.0)
     # discrete value on this mesh, frozen from a dense eigensolve below
     dense = scipy.linalg.eigh(ops.stiffness().toarray(), ops.mass().toarray(),
                               eigvals_only=True)[0]
     assert res.value == pytest.approx(dense, rel=1e-8)
     assert res.value == pytest.approx(2.0 * np.pi**2, rel=5e-2)
+
+
+def test_eigen_single_unknown_and_singular_shift():
+    A, M = sp.csr_array([[6.0]]), sp.csr_array([[2.0]])
+    res = smallest_generalized_eigenvalue(A, M, shift=0.0)
+    assert res.value == pytest.approx(3.0, rel=1e-15)
+    assert res.residual <= 1e-15 and not res.used_dense_fallback
+    # a shift on the eigenvalue makes A - shift*M singular: no fallback
+    with pytest.raises(LinearSolveError, match="shifted factorization failed"):
+        smallest_generalized_eigenvalue(A, M, shift=3.0)
