@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import time
@@ -249,8 +250,8 @@ SWEEP_HEADER = NORM_HEADER[:-1] + ("scaled_linf_h1", "scaled_l4", "status", "con
 
 
 def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> int:
-    if not epsilons or any(e <= 0 for e in epsilons):
-        print(_error_json("config", "--epsilons must be positive"))
+    if not epsilons or not all(math.isfinite(e) and e > 0 for e in epsilons):
+        print(_error_json("config", "--epsilons must be finite and positive"))
         return EXIT_CONFIG
     if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
         print(_error_json("config", "--epsilons must be strictly descending"))

@@ -1,15 +1,18 @@
 """Run configuration: JSON schema, validation, canonical hashing.
 
-The file format is strict JSON with a fixed field set; unknown keys are
-rejected with their full path so typos fail loudly instead of silently
-falling back to defaults.
+The file format is strict JSON whose field set, value types and defaults
+are the dataclasses below.  Unknown keys and ill-typed values are rejected
+with their full path, so typos fail loudly instead of silently falling
+back to defaults or being coerced.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 
 from .assembly import SpaceOperators
 from .forward import NewtonConfig
@@ -83,82 +86,72 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_SCHEMA = {
-    "dimension": None,
-    "epsilon": None,
-    "mesh": {"n": None, "n_per_side": None},
-    "time": {"T": None, "N_slabs": None, "k": None},
-    "space": {"degree_l": None},
-    "problem": {"manufactured": None, "initial_profile": None},
-    "solver": {
-        "newton_abs_tol": None, "newton_rel_tol": None, "max_iter": None,
-        "linear": {"rel_tolerance": None},
-    },
-    "quadrature": {"time_points": None, "space_order": None, "allow_inexact": None},
-    "output": {"directory": None, "run_id": None},
-}
+# Numbers whose range parse_config checks by name; every other number must
+# be positive.
+_RANGED = ("dimension", "time.k")
+_KIND_NAMES = {bool: "a boolean", int: "an integer", float: "a number", str: "a string"}
 
 
-def _reject_unknown(doc: dict, schema: dict, path: str = "") -> None:
+def _leaf(hint, value, path: str):
+    """Check one value exactly against its annotation; only int widens to float."""
+    kinds = typing.get_args(hint) or (hint,)
+    if value is None and type(None) in kinds:
+        return None
+    kind = kinds[0]
+    accepted = (int, float) if kind is float else kind
+    if not isinstance(value, accepted) or (kind is not bool and isinstance(value, bool)):
+        raise ConfigError(f"'{path}' must be {_KIND_NAMES[kind]}, got {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"'{path}' must be finite, got {value!r}")
+    if kind in (int, float) and path not in _RANGED and not value > 0:
+        raise ConfigError(f"'{path}' must be positive, got {value!r}")
+    return value
+
+
+def _build(cls, doc, path: str = ""):
+    """Instantiate the dataclass cls from doc; absent fields take their defaults."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"field '{path}' must be an object")
+    hints = typing.get_type_hints(cls)  # resolves the string annotations; one per field
+    values = {}
     for key, val in doc.items():
         here = f"{path}.{key}" if path else key
-        if key not in schema:
+        if key not in hints:
             raise ConfigError(f"unknown field '{here}'")
-        sub = schema[key]
-        if isinstance(sub, dict):
-            if not isinstance(val, dict):
-                raise ConfigError(f"field '{here}' must be an object")
-            _reject_unknown(val, sub, here)
-
-
-def _positive(value, name: str) -> None:
-    if not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigError(f"'{name}' must be positive, got {value!r}")
+        hint = hints[key]
+        values[key] = (_build(hint, val, here) if is_dataclass(hint)
+                       else _leaf(hint, val, here))
+    return cls(**values)
 
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a parsed JSON document and return a RunConfig."""
     if not isinstance(doc, dict):
         raise ConfigError("configuration root must be a JSON object")
-    _reject_unknown(doc, _SCHEMA)
+    cfg = _build(RunConfig, doc)
 
-    dim = doc.get("dimension", 1)
+    dim = cfg.dimension
     if dim not in (1, 2):
         raise ConfigError(f"'dimension' must be 1 or 2, got {dim!r}")
-
-    mesh_doc = doc.get("mesh", {})
-    mesh = MeshConfig(n=mesh_doc.get("n"), n_per_side=mesh_doc.get("n_per_side"))
+    mesh = cfg.mesh
     if dim == 1:
         if mesh.n_per_side is not None:
             raise ConfigError("'mesh.n_per_side' is a 2-d field; use 'mesh.n' in 1-d")
-        if mesh.n is None:
-            mesh = MeshConfig(n=32)
-        _positive(mesh.n, "mesh.n")
+        mesh = MeshConfig(n=32 if mesh.n is None else mesh.n)
     else:
         if mesh.n is not None:
             raise ConfigError("'mesh.n' is a 1-d field; use 'mesh.n_per_side' in 2-d")
-        if mesh.n_per_side is None:
-            mesh = MeshConfig(n_per_side=16)
-        _positive(mesh.n_per_side, "mesh.n_per_side")
+        mesh = MeshConfig(n_per_side=16 if mesh.n_per_side is None else mesh.n_per_side)
 
-    tdoc = doc.get("time", {})
-    time = TimeConfig(T=float(tdoc.get("T", 1.0)), N_slabs=int(tdoc.get("N_slabs", 8)),
-                      k=int(tdoc.get("k", 1)))
-    _positive(time.T, "time.T")
-    _positive(time.N_slabs, "time.N_slabs")
-    if time.k < 0:
-        raise ConfigError(f"'time.k' must be >= 0, got {time.k}")
+    if cfg.time.k < 0:
+        raise ConfigError(f"'time.k' must be >= 0, got {cfg.time.k}")
 
-    sdoc = doc.get("space", {})
-    space = SpaceConfig(degree_l=int(sdoc.get("degree_l", 1)))
-    _positive(space.degree_l, "space.degree_l")
-
-    epsilon = float(doc.get("epsilon", 0.5))
-    _positive(epsilon, "epsilon")
-
-    pdoc = doc.get("problem", {})
-    problem = ProblemConfig(manufactured=pdoc.get("manufactured"),
-                            initial_profile=pdoc.get("initial_profile"))
+    problem = cfg.problem
     if (problem.manufactured is None) == (problem.initial_profile is None):
         raise ConfigError(
             "'problem' needs exactly one of 'manufactured' or 'initial_profile'")
@@ -170,36 +163,7 @@ def parse_config(doc: dict) -> RunConfig:
         raise ConfigError(
             f"unknown initial profile '{problem.initial_profile}'; "
             f"known: {sorted(PROFILES)}")
-
-    soldoc = doc.get("solver", {})
-    lindoc = soldoc.get("linear", {})
-    rel_tolerance = float(lindoc.get("rel_tolerance", 1e-11))
-    _positive(rel_tolerance, "solver.linear.rel_tolerance")
-    linear = LinearSolveConfig(rel_tolerance=rel_tolerance)
-    solver = SolverConfig(newton_abs_tol=float(soldoc.get("newton_abs_tol", 1e-12)),
-                          newton_rel_tol=float(soldoc.get("newton_rel_tol", 1e-12)),
-                          max_iter=int(soldoc.get("max_iter", 30)),
-                          linear=linear)
-    _positive(solver.newton_abs_tol, "solver.newton_abs_tol")
-    _positive(solver.newton_rel_tol, "solver.newton_rel_tol")
-    _positive(solver.max_iter, "solver.max_iter")
-
-    qdoc = doc.get("quadrature", {})
-    quad = QuadratureConfig(time_points=qdoc.get("time_points"),
-                            space_order=qdoc.get("space_order"),
-                            allow_inexact=bool(qdoc.get("allow_inexact", False)))
-    if quad.time_points is not None:
-        _positive(quad.time_points, "quadrature.time_points")
-    if quad.space_order is not None:
-        _positive(quad.space_order, "quadrature.space_order")
-
-    odoc = doc.get("output", {})
-    output = OutputConfig(directory=str(odoc.get("directory", "runs")),
-                          run_id=str(odoc.get("run_id", "run")))
-
-    return RunConfig(dimension=dim, mesh=mesh, time=time, space=space,
-                     epsilon=epsilon, problem=problem, solver=solver,
-                     quadrature=quad, output=output)
+    return replace(cfg, mesh=mesh)
 
 
 def load_config(path: str) -> RunConfig:
@@ -216,28 +180,10 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Fully explicit dictionary form (defaults filled in)."""
-    mesh = {"n": cfg.mesh.n} if cfg.dimension == 1 else {"n_per_side": cfg.mesh.n_per_side}
-    problem = ({"manufactured": cfg.problem.manufactured}
-               if cfg.problem.manufactured is not None
-               else {"initial_profile": cfg.problem.initial_profile})
-    return {
-        "dimension": cfg.dimension,
-        "mesh": mesh,
-        "time": {"T": cfg.time.T, "N_slabs": cfg.time.N_slabs, "k": cfg.time.k},
-        "space": {"degree_l": cfg.space.degree_l},
-        "epsilon": cfg.epsilon,
-        "problem": problem,
-        "solver": {
-            "newton_abs_tol": cfg.solver.newton_abs_tol,
-            "newton_rel_tol": cfg.solver.newton_rel_tol,
-            "max_iter": cfg.solver.max_iter,
-            "linear": {"rel_tolerance": cfg.solver.linear.rel_tolerance},
-        },
-        "quadrature": {"time_points": cfg.quadrature.time_points,
-                       "space_order": cfg.quadrature.space_order,
-                       "allow_inexact": cfg.quadrature.allow_inexact},
-        "output": {"directory": cfg.output.directory, "run_id": cfg.output.run_id},
-    }
+    doc = asdict(cfg)
+    for choice in ("mesh", "problem"):  # a valid config sets exactly one field of each
+        doc[choice] = {key: val for key, val in doc[choice].items() if val is not None}
+    return doc
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -266,10 +212,7 @@ def instantiate(cfg: RunConfig) -> Discretization:
     else:
         mesh = build_square_mesh(cfg.mesh.n_per_side)
     space = build_space(mesh, cfg.space.degree_l)
-    if cfg.quadrature.space_order is not None:
-        ops = SpaceOperators(space, exact_degree=cfg.quadrature.space_order)
-    else:
-        ops = SpaceOperators(space)
+    ops = SpaceOperators(space, exact_degree=cfg.quadrature.space_order)
     basis = make_time_basis(cfg.time.k, quad_points=cfg.quadrature.time_points,
                             allow_inexact=cfg.quadrature.allow_inexact)
     partition = TimePartition.uniform(cfg.time.T, cfg.time.N_slabs)

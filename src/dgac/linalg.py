@@ -97,25 +97,36 @@ def smallest_generalized_eigenvalue(A, M, shift: float, tol: float = 1e-10) -> E
     """Smallest eigenvalue of A v = lambda M v (A symmetric, M SPD).
 
     One shift-invert Lanczos solve (ARPACK through eigsh): A - shift*M is
-    factored once by sparse LU and the eigenvalue nearest the shift is
-    found.  The shift must lie strictly below the smallest eigenvalue, so
-    that the nearest one is the smallest; for reaction-shifted stiffness
-    forms the assembled potential minimum certifies one.  tol is ARPACK's
-    relative accuracy, iterations counts the solves with the factorization
-    and residual is ||A v - lambda M v||.
+    factored once by symmetric sparse LU and the eigenvalue nearest the
+    shift is found.  The shift must lie strictly below the smallest
+    eigenvalue, so that the nearest one is the smallest; the pivot signs
+    of the factorization check this.  For reaction-shifted stiffness forms
+    the assembled potential minimum certifies such a shift.  tol is
+    ARPACK's relative accuracy, iterations counts the solves with the
+    factorization and residual is ||A v - lambda M v||.
 
-    A singular factorization, non-convergence or a non-finite result raises
-    LinearSolveError; there is no fallback.  Returns the Rayleigh quotient
-    of the M-normalized vector, so value == v.T A v / v.T M v to round-off
-    by construction.
+    A singular factorization, a shift not below the smallest eigenvalue,
+    non-convergence or a non-finite result raises LinearSolveError; there
+    is no fallback.  Returns the Rayleigh quotient of the M-normalized
+    vector, so value == v.T A v / v.T M v to round-off by construction.
     """
     A = sp.csr_array(A)
     M = sp.csr_array(M)
     n = A.shape[0]
     try:
-        lu = spla.splu(sp.csc_array(A - shift * M))
+        lu = spla.splu(sp.csc_array(A - shift * M), diag_pivot_thresh=0,
+                       options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise LinearSolveError(f"shifted factorization failed at shift {shift:g}: {exc}") from exc
+    # With diagonal pivots this is P^T (A - shift*M) P = L D L^T, so by
+    # Sylvester's law of inertia the non-positive pivots count the
+    # eigenvalues at or below the shift.
+    if not np.array_equal(lu.perm_r, lu.perm_c):
+        raise LinearSolveError(f"shifted factorization at shift {shift:g} pivoted off the diagonal")
+    below = int(np.count_nonzero(lu.U.diagonal() <= 0))
+    if below:
+        raise LinearSolveError(f"shift {shift:g} is not below the smallest eigenvalue: "
+                               f"{below} eigenvalue(s) lie at or below it")
     solves = 0
 
     def op_inv(b):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -81,6 +83,28 @@ def test_parse_config_2d_defaults():
     assert cfg.mesh.n_per_side == 16 and cfg.mesh.n is None
 
 
+# Ill-typed values: each is rejected, not coerced, and the message names its
+# path.  Coercion would run k 1.7 as k=1 under the default hash and read
+# allow_inexact "false" as true.
+_ILL_TYPED = [
+    ({"time": {"k": 1.7}}, r"'time\.k' must be an integer, got 1\.7"),
+    ({"time": {"N_slabs": 8.9}}, r"'time\.N_slabs' must be an integer, got 8\.9"),
+    ({"quadrature": {"allow_inexact": "false"}},
+     r"'quadrature\.allow_inexact' must be a boolean, got 'false'"),
+    ({"epsilon": "0.5"}, r"'epsilon' must be a number, got '0\.5'"),
+    ({"epsilon": float("inf")}, r"'epsilon' must be finite, got inf"),
+    ({"epsilon": 10**400}, r"'epsilon' must be finite, got inf"),
+    ({"mesh": {"n": True}}, r"'mesh\.n' must be an integer, got True"),
+    ({"mesh": {"n": 2.5}}, r"'mesh\.n' must be an integer, got 2\.5"),
+    ({"dimension": 1.0}, r"'dimension' must be an integer, got 1\.0"),
+    ({"dimension": True}, r"'dimension' must be an integer, got True"),
+    ({"output": {"directory": None}}, r"'output\.directory' must be a string, got None"),
+    ({"solver": {"max_iter": 3.5}}, r"'solver\.max_iter' must be an integer, got 3\.5"),
+    ({"solver": {"linear": {"rel_tolerance": "1e-11"}}},
+     r"'solver\.linear\.rel_tolerance' must be a number, got '1e-11'"),
+]
+
+
 @pytest.mark.parametrize("doc, match", [
     ({"problem": {"manufactured": "expsine"}, "solver": {"linear": {"xyz": 1}}},
      r"unknown field 'solver\.linear\.xyz'"),
@@ -106,7 +130,8 @@ def test_parse_config_2d_defaults():
      r"unknown field 'solver\.linear\.method'"),
     ({"problem": {"manufactured": "expsine"}, "mesh": 7},
      "field 'mesh' must be an object"),
-])
+] + [(dict({"problem": {"manufactured": "expsine"}}, **bad), match)
+     for bad, match in _ILL_TYPED])
 def test_parse_config_rejects(doc, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(doc)
@@ -130,6 +155,46 @@ def test_config_hash_is_canonical():
     assert config_hash(parse_config(doc_c)) != h_a
 
 
+_INSTANTIATE_DOC = {"mesh": {"n": 8}, "time": {"T": 0.5, "N_slabs": 4, "k": 2},
+                    "space": {"degree_l": 2}, "epsilon": 0.3,
+                    "problem": {"manufactured": "expsine"},
+                    "solver": {"newton_abs_tol": 1e-10, "max_iter": 12,
+                               "linear": {"rel_tolerance": 1e-12}}}
+
+
+# config_hash values recorded before the schema was derived from the
+# dataclasses; every valid config keeps its hash.
+@pytest.mark.parametrize("doc, expected", [
+    ({"problem": {"manufactured": "expsine"}}, "558fee59051b"),
+    # the README example
+    ({"dimension": 1, "mesh": {"n": 64}, "time": {"T": 1.0, "N_slabs": 8, "k": 1},
+      "space": {"degree_l": 1}, "epsilon": 0.5, "problem": {"manufactured": "expsine"},
+      "solver": {"newton_abs_tol": 1e-12, "newton_rel_tol": 1e-12, "max_iter": 30,
+                 "linear": {"rel_tolerance": 1e-11}},
+      "quadrature": {"time_points": None, "space_order": None, "allow_inexact": False},
+      "output": {"directory": "runs", "run_id": "run"}}, "eb18f30c6d91"),
+    (_base_doc(Path("pinned")), "bdc6e4f0a9db"),
+    (_INSTANTIATE_DOC, "45a485281c20"),
+    # the recorded inputs of the ladder-1d, sweep-1d and certify-2d benchmarks
+    ({"dimension": 1, "mesh": {"n": 64}, "time": {"T": 1.0, "N_slabs": 2, "k": 1},
+      "space": {"degree_l": 1}, "epsilon": 0.5, "problem": {"manufactured": "expsine"},
+      "output": {"directory": "out", "run_id": "ladder"}}, "ac6c0dfe11ee"),
+    ({"dimension": 1, "mesh": {"n": 32}, "time": {"T": 0.0125, "N_slabs": 64, "k": 1},
+      "space": {"degree_l": 2}, "epsilon": 0.4, "problem": {"initial_profile": "interface"},
+      "output": {"directory": "out", "run_id": "sweep"}}, "7b8bff7d2200"),
+    ({"dimension": 2, "mesh": {"n_per_side": 16}, "time": {"T": 1.0, "N_slabs": 8, "k": 1},
+      "space": {"degree_l": 2}, "epsilon": 0.5, "problem": {"manufactured": "expsine2d"},
+      "output": {"directory": "out", "run_id": "certify"}}, "a071cefaa402"),
+    # integer values of float fields hash as their floats
+    ({"dimension": 2, "problem": {"initial_profile": "zero2d"}, "time": {"T": 1, "k": 0},
+      "epsilon": 1, "quadrature": {"time_points": 3, "space_order": 6, "allow_inexact": True},
+      "solver": {"newton_rel_tol": 1e-9, "linear": {"rel_tolerance": 1e-10}}},
+     "a4362a37790e"),
+])
+def test_config_hash_is_pinned(doc, expected):
+    assert config_hash(parse_config(doc)) == expected
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError, match="not found"):
         load_config(str(tmp_path / "missing.json"))
@@ -140,11 +205,7 @@ def test_load_config_errors(tmp_path):
 
 
 def test_instantiate_builds_matching_pieces():
-    cfg = parse_config({"mesh": {"n": 8}, "time": {"T": 0.5, "N_slabs": 4, "k": 2},
-                        "space": {"degree_l": 2}, "epsilon": 0.3,
-                        "problem": {"manufactured": "expsine"},
-                        "solver": {"newton_abs_tol": 1e-10, "max_iter": 12,
-                                   "linear": {"rel_tolerance": 1e-12}}})
+    cfg = parse_config(_INSTANTIATE_DOC)
     disc = instantiate(cfg)
     assert disc.space.mesh.n_elements == 8
     assert disc.space.degree == 2
@@ -221,6 +282,16 @@ def test_cli_invalid_config_structured_error(tmp_path):
     err = _json_line(out)
     assert err["error"] == "config"
     assert "typo_field" in err["message"]
+
+
+@pytest.mark.parametrize("bad, match", _ILL_TYPED)
+def test_cli_ill_typed_config_exits_4(tmp_path, bad, match):
+    code, out = run_cli(["solve", "--config", _write_cfg(tmp_path, _base_doc(tmp_path, **bad))])
+    assert code == 4
+    err = _json_line(out)
+    assert err["error"] == "config"
+    assert re.search(match, err["message"])
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_missing_config_file(tmp_path):
@@ -344,6 +415,15 @@ def test_cli_sweep_rejects_bad_epsilons(tmp_path):
                          "--epsilons", "-0.1"])
     assert code == 4
     assert "positive" in _json_line(out)["message"]
+
+
+@pytest.mark.parametrize("epsilons", [["nan"], ["inf", "0.5"]])
+def test_cli_sweep_rejects_non_finite_epsilons(tmp_path, epsilons):
+    cfg = _write_cfg(tmp_path, _base_doc(tmp_path))
+    code, out = run_cli(["stability-sweep", "--config", cfg, "--epsilons", *epsilons])
+    assert code == 4
+    assert "finite" in _json_line(out)["message"]
+    assert not (tmp_path / "out" / "t1_sweep.csv").exists()
 
 
 def test_cli_sweep_single_point_matches_solve(tmp_path):

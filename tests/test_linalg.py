@@ -149,3 +149,19 @@ def test_eigen_single_unknown_and_singular_shift():
     # a shift on the eigenvalue makes A - shift*M singular: no fallback
     with pytest.raises(LinearSolveError, match="shifted factorization failed"):
         smallest_generalized_eigenvalue(A, M, shift=3.0)
+
+
+def test_eigen_rejects_shift_above_smallest_eigenvalue():
+    # 1d P1 Laplacian: eigenvalues about pi^2 and 4 pi^2; shift 30 lies
+    # between them and would otherwise report the second as the smallest
+    ops = _ops(64)
+    with pytest.raises(LinearSolveError,
+                       match="shift 30 is not below the smallest eigenvalue: 1 eigenvalue"):
+        smallest_generalized_eigenvalue(ops.stiffness(), ops.mass(), shift=30.0)
+    with pytest.raises(LinearSolveError, match="3 eigenvalue"):
+        smallest_generalized_eigenvalue(ops.stiffness(), ops.mass(), shift=100.0)
+    # a zero diagonal forces an off-diagonal pivot: the inertia is unknown
+    A, M = sp.csr_array([[0.0, 1.0], [1.0, 0.0]]), sp.csr_array(np.eye(2))
+    with pytest.raises(LinearSolveError, match="pivoted off the diagonal"):
+        smallest_generalized_eigenvalue(A, M, shift=0.0)
+    assert smallest_generalized_eigenvalue(A, M, shift=-2.0).value == pytest.approx(-1.0)
