@@ -189,13 +189,6 @@ CONV_HEADER = ("run_id", "level", "k", "l", "N", "n_cells", "epsilon", "h", "tau
 
 
 def cmd_convergence(cfg: RunConfig, outdir: str, levels: int, refine: str) -> int:
-    if levels < 3:
-        print(_error_json("config", "convergence needs --levels >= 3"))
-        return EXIT_CONFIG
-    if cfg.problem.manufactured is None:
-        print(_error_json("config", "convergence needs a manufactured solution "
-                          "(error norms require exact data)"))
-        return EXIT_CONFIG
     run_id = cfg.output.run_id
     _print_guidance(cfg)
     csv_path = os.path.join(outdir, f"{run_id}_convergence.csv")
@@ -250,12 +243,6 @@ SWEEP_HEADER = NORM_HEADER[:-1] + ("scaled_linf_h1", "scaled_l4", "status", "con
 
 
 def cmd_stability_sweep(cfg: RunConfig, outdir: str, epsilons: list[float]) -> int:
-    if not epsilons or not all(math.isfinite(e) and e > 0 for e in epsilons):
-        print(_error_json("config", "--epsilons must be finite and positive"))
-        return EXIT_CONFIG
-    if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
-        print(_error_json("config", "--epsilons must be strictly descending"))
-        return EXIT_CONFIG
     run_id = cfg.output.run_id
     rows = []
     failures = []
@@ -415,9 +402,6 @@ def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig, outdir: str, samples: int) -> int:
-    if samples < 1:
-        print(_error_json("config", "--samples must be >= 1"))
-        return EXIT_CONFIG
     disc = instantiate(cfg)
     run_id = cfg.output.run_id
     try:
@@ -481,10 +465,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_arguments(cfg: RunConfig, args) -> None:
+    """Reject bad subcommand flags, and a convergence ladder without exact
+    data, before the output directory is created."""
+    if args.command == "convergence":
+        if args.levels < 3:
+            raise ConfigError("convergence needs --levels >= 3")
+        if cfg.problem.manufactured is None:
+            raise ConfigError("convergence needs a manufactured solution "
+                              "(error norms require exact data)")
+    elif args.command == "stability-sweep":
+        epsilons = args.epsilons
+        if not all(math.isfinite(e) and e > 0 for e in epsilons):
+            raise ConfigError("--epsilons must be finite and positive")
+        if any(b >= a for a, b in zip(epsilons, epsilons[1:])):
+            raise ConfigError("--epsilons must be strictly descending")
+    elif args.command == "spectrum" and args.samples < 1:
+        raise ConfigError("--samples must be >= 1")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        _check_arguments(cfg, args)
         outdir = _resolve_outdir(cfg, args.out)
         if args.command == "solve":
             return cmd_solve(cfg, outdir)

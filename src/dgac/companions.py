@@ -462,11 +462,15 @@ def solve_parabolic_projection(
     (u_t, w) + (grad u, grad w) from the analytic time derivative and
     gradient, and the initial value is the L2 projection of u(0).  The
     result is the parabolic projection of the exact function onto the
-    space-time discrete space.
+    space-time discrete space.  For u = a(t) s(x) the load at time t is
+    da(t) (s, w) + a(t) (grad s, grad w), so the two spatial loads are
+    assembled once.
     """
     lin_cfg = lin_cfg or LinearSolveConfig()
     time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
+    mass_load = ops.load(exact.s)
+    grad_load = ops.gradient_load(exact.grad_s)
     p_prev = l2_project(lambda x: exact.value(0.0, x), ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=p_prev)
     pts = partition.points
@@ -479,8 +483,7 @@ def solve_parabolic_projection(
             solve = factorize(ops.slab_operator(basis, time_ops.G, time_ops.Theta, tau), lin_cfg)
             step = tau
         times = t0 + tau * basis.quad_points
-        loads = (ops.load(ops.time_fields(exact.dt, times))
-                 + ops.gradient_load(ops.time_fields(exact.grad, times)))
+        loads = np.outer(exact.da(times), mass_load) + np.outer(exact.a(times), grad_load)
         rhs = np.outer(time_ops.left_load, M @ p_prev)
         rhs += tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
         coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)

@@ -166,11 +166,22 @@ def parse_config(doc: dict) -> RunConfig:
     return replace(cfg, mesh=mesh)
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """object_pairs_hook that rejects a key given twice in one JSON object."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise ConfigError(f"duplicate key {key!r} in configuration")
+        doc[key] = value
+    return doc
+
+
 def load_config(path: str) -> RunConfig:
-    """Read and validate a JSON configuration file."""
+    """Read and validate a JSON configuration file; a key given twice in
+    one object is an error, not last-one-wins."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except FileNotFoundError:
         raise ConfigError(f"configuration file not found: {path}")
     except json.JSONDecodeError as exc:

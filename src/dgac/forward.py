@@ -317,7 +317,7 @@ def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = No
         ],
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # dumps takes the C encoder; dump streams through Python
     return manifest
 
 

@@ -39,8 +39,22 @@ class LinearSolveError(RuntimeError):
         self.achieved_residual = achieved_residual
 
 
+# Minimum degree on A^T + A cuts the LU fill of the 2d P2 slab system with
+# 1922 unknowns from 178,890 to 139,942 and its factorization time by about a
+# fifth.  Below about a thousand unknowns it saves little or no fill (none
+# on 1d patterns), and on the 126-unknown 1d slab systems of a Newton march
+# its factorizations ran about 9% and its solves about 26% slower than with
+# COLAMD.
+_MIN_DEGREE_SIZE = 1000
+
+
 def factorize(A, config: LinearSolveConfig | None = None):
     """Factor A by sparse LU once; return a solve callable b -> x.
+
+    Systems of at least 1000 unknowns order their columns by minimum
+    degree on the pattern of A^T + A, which suits the structurally
+    symmetric systems assembled here (mass, stiffness and the kron-patterned
+    slab operators); smaller ones keep SuperLU's default COLAMD.
 
     Every solve enforces the residual contract for its own right-hand
     side: b = 0 returns the exact zero vector, and a non-finite result or
@@ -50,7 +64,8 @@ def factorize(A, config: LinearSolveConfig | None = None):
     cfg = config or LinearSolveConfig()
     A = sp.csc_array(A, dtype=float)
     try:
-        lu = spla.splu(A)
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if A.shape[0] >= _MIN_DEGREE_SIZE
+                       else "COLAMD")
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU factorization failed: {exc}") from exc
 
@@ -114,8 +129,8 @@ def smallest_generalized_eigenvalue(A, M, shift: float, tol: float = 1e-10) -> E
     M = sp.csr_array(M)
     n = A.shape[0]
     try:
-        lu = spla.splu(sp.csc_array(A - shift * M), diag_pivot_thresh=0,
-                       options=dict(SymmetricMode=True))
+        lu = spla.splu(sp.csc_array(A - shift * M), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0, options=dict(SymmetricMode=True))
     except RuntimeError as exc:
         raise LinearSolveError(f"shifted factorization failed at shift {shift:g}: {exc}") from exc
     # With diagonal pivots this is P^T (A - shift*M) P = L D L^T, so by

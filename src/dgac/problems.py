@@ -5,10 +5,10 @@ The equation solved is
     u_t - Laplace(u) + (1/eps^2) (u^3 - u) = f   on (0, T) x Omega,
     u = 0 on the boundary,  u(0) = u_0,
 
-with eps the interface-width parameter.  Manufactured solutions carry the
-analytic value, time derivative, gradient and Laplacian so that forcing
-terms and error norms can be formed; initial profiles provide data without
-an exact solution.
+with eps the interface-width parameter.  Manufactured solutions are
+products a(t) s(x) of a time factor and a spatial factor, with the
+derivatives needed to form forcing terms and error norms; initial profiles
+provide data without an exact solution.
 """
 
 from __future__ import annotations
@@ -21,25 +21,43 @@ import numpy as np
 
 @dataclass(frozen=True)
 class ManufacturedSolution:
-    """Smooth space-time solution with the derivatives needed for forcing.
+    """Smooth product-form solution u(t, x) = a(t) s(x).
 
-    Spatial arguments have shape (..., dimension); values drop the last axis.
+    a and da (the time factor and its derivative) act elementwise on a
+    time or an array of times.  s, grad_s and lap_s take spatial
+    arguments of shape (..., dimension) and drop the last axis, except
+    grad_s, which returns (..., dimension).  A caller evaluating u at one
+    point set for many times samples s and grad_s once and scales them.
     """
 
     name: str
     dimension: int
-    value: Callable[[float, np.ndarray], np.ndarray]
-    dt: Callable[[float, np.ndarray], np.ndarray]
-    grad: Callable[[float, np.ndarray], np.ndarray]   # (..., dimension)
-    laplacian: Callable[[float, np.ndarray], np.ndarray]
+    a: Callable
+    da: Callable
+    s: Callable[[np.ndarray], np.ndarray]
+    grad_s: Callable[[np.ndarray], np.ndarray]
+    lap_s: Callable[[np.ndarray], np.ndarray]
+
+    def value(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.a(t) * self.s(x)
+
+    def dt(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.da(t) * self.s(x)
+
+    def grad(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.a(t) * self.grad_s(x)
+
+    def laplacian(self, t: float, x: np.ndarray) -> np.ndarray:
+        return self.a(t) * self.lap_s(x)
 
     def forcing(self, epsilon: float) -> Callable[[float, np.ndarray], np.ndarray]:
         """f = u_t - Laplace(u) + (u^3 - u)/eps^2 for this exact solution."""
         inv_eps2 = 1.0 / epsilon**2
 
         def f(t: float, x: np.ndarray) -> np.ndarray:
-            u = self.value(t, x)
-            return self.dt(t, x) - self.laplacian(t, x) + inv_eps2 * (u**3 - u)
+            a, s = self.a(t), self.s(x)
+            u = a * s
+            return self.da(t) * s - a * self.lap_s(x) + inv_eps2 * (u**3 - u)
 
         return f
 
@@ -57,44 +75,44 @@ class InitialProfile:
     value: Callable[[np.ndarray, float], np.ndarray]
 
 
+def _decay(t):
+    return np.exp(-t)
+
+
+def _decay_rate(t):
+    return -np.exp(-t)
+
+
 def _expsine() -> ManufacturedSolution:
     pi = np.pi
 
-    def u(t, x):
-        return np.exp(-t) * np.sin(pi * x[..., 0])
+    def s(x):
+        return np.sin(pi * x[..., 0])
 
-    def du(t, x):
-        return -np.exp(-t) * np.sin(pi * x[..., 0])
+    def grad_s(x):
+        return (pi * np.cos(pi * x[..., 0]))[..., None]
 
-    def grad(t, x):
-        g = pi * np.exp(-t) * np.cos(pi * x[..., 0])
-        return g[..., None]
+    def lap_s(x):
+        return -(pi**2) * s(x)
 
-    def lap(t, x):
-        return -(pi**2) * np.exp(-t) * np.sin(pi * x[..., 0])
-
-    return ManufacturedSolution("expsine", 1, u, du, grad, lap)
+    return ManufacturedSolution("expsine", 1, _decay, _decay_rate, s, grad_s, lap_s)
 
 
 def _expsine2d() -> ManufacturedSolution:
     pi = np.pi
 
-    def u(t, x):
-        return np.exp(-t) * np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
+    def s(x):
+        return np.sin(pi * x[..., 0]) * np.sin(pi * x[..., 1])
 
-    def du(t, x):
-        return -u(t, x)
+    def grad_s(x):
+        sx, sy = np.sin(pi * x[..., 0]), np.sin(pi * x[..., 1])
+        cx, cy = np.cos(pi * x[..., 0]), np.cos(pi * x[..., 1])
+        return pi * np.stack([cx * sy, sx * cy], axis=-1)
 
-    def grad(t, x):
-        e = np.exp(-t)
-        gx = pi * e * np.cos(pi * x[..., 0]) * np.sin(pi * x[..., 1])
-        gy = pi * e * np.sin(pi * x[..., 0]) * np.cos(pi * x[..., 1])
-        return np.stack([gx, gy], axis=-1)
+    def lap_s(x):
+        return -2.0 * pi**2 * s(x)
 
-    def lap(t, x):
-        return -2.0 * pi**2 * u(t, x)
-
-    return ManufacturedSolution("expsine2d", 2, u, du, grad, lap)
+    return ManufacturedSolution("expsine2d", 2, _decay, _decay_rate, s, grad_s, lap_s)
 
 
 def _interface_profile(x: np.ndarray, epsilon: float) -> np.ndarray:

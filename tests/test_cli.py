@@ -204,6 +204,22 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad))
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"epsilon": 0.5, "epsilon": 0.1, "problem": {"manufactured": "expsine"}}', "epsilon"),
+    ('{"time": {"k": 1, "T": 0.5, "k": 2}, "problem": {"manufactured": "expsine"}}', "k"),
+], ids=["top-level", "nested"])
+def test_duplicate_config_key_is_rejected(tmp_path, text, key):
+    path = tmp_path / "dup.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"duplicate key '{key}'"):
+        load_config(str(path))
+    code, out = run_cli(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 4
+    err = _json_line(out)
+    assert err["error"] == "config" and f"'{key}'" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_instantiate_builds_matching_pieces():
     cfg = parse_config(_INSTANTIATE_DOC)
     disc = instantiate(cfg)
@@ -356,6 +372,7 @@ def test_cli_convergence_rejects_few_levels(tmp_path):
                          "--levels", "2"])
     assert code == 4
     assert "levels" in _json_line(out)["message"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_convergence_needs_exact_solution(tmp_path):
@@ -424,6 +441,7 @@ def test_cli_sweep_rejects_non_finite_epsilons(tmp_path, epsilons):
     assert code == 4
     assert "finite" in _json_line(out)["message"]
     assert not (tmp_path / "out" / "t1_sweep.csv").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_sweep_single_point_matches_solve(tmp_path):
@@ -588,3 +606,4 @@ def test_cli_spectrum_rejects_bad_samples(tmp_path):
     code, out = run_cli(["spectrum", "--config", cfg, "--samples", "0"])
     assert code == 4
     assert "samples" in _json_line(out)["message"]
+    assert not (tmp_path / "out").exists()

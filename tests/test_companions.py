@@ -1,13 +1,12 @@
 """Backward companion solves, their identities, and space-time projections."""
 
-import types
-
 import numpy as np
 import pytest
 
 from dgac import (
     DgTimeOperators,
     LinearSolveConfig,
+    ManufacturedSolution,
     NewtonConfig,
     SpaceOperators,
     compute_norms,
@@ -277,11 +276,8 @@ def test_parabolic_projection_reproduces_trial_space():
     def g(t):
         return 2.0 - 1.5 * t
 
-    exact = types.SimpleNamespace(
-        value=lambda t, x: g(t) * v_val(x),
-        dt=lambda t, x: -1.5 * v_val(x),
-        grad=lambda t, x: g(t) * v_grad(x),
-    )
+    exact = ManufacturedSolution("p1_product", 1, a=g, da=lambda t: np.full(np.shape(t), -1.5),
+                                 s=v_val, grad_s=v_grad, lap_s=lambda x: np.zeros(x.shape[:-1]))
     u_p = solve_parabolic_projection(exact, run.ops, run.partition, run.basis,
                                      lin_cfg=LIN)
     assert np.max(np.abs(u_p.initial - 2.0 * v_free)) <= 1e-12

@@ -7,6 +7,7 @@ import pytest
 
 from dgac import (
     LinearSolveConfig,
+    ManufacturedSolution,
     ProblemSpec,
     SpaceOperators,
     TimePartition,
@@ -251,8 +252,6 @@ def test_best_approximation_ratio_near_one(solved_default):
 
 
 def test_best_approximation_exact_case():
-    import types
-
     run = make_run(n=8, N=2, T=1.0, k=1, initial_profile="zero")
     n = run.space.mesh.n_vertices - 1
     xs = np.linspace(0.0, 1.0, n + 1)
@@ -260,15 +259,18 @@ def test_best_approximation_exact_case():
     full = run.space.scatter(free)
     slopes = np.diff(full) * n
 
-    def value(t, x):
-        return (1.0 + 0.5 * t) * np.interp(x[..., 0], xs, full)
+    def s(x):
+        return np.interp(x[..., 0], xs, full)
 
-    def grad(t, x):
+    def grad_s(x):
         idx = np.clip((x[..., 0] * n).astype(int), 0, n - 1)
-        return (1.0 + 0.5 * t) * slopes[idx][..., None]
+        return slopes[idx][..., None]
 
-    ref = types.SimpleNamespace(value=value, grad=grad)
-    u_p = local_projection(value, run.partition, run.ops, run.basis,
+    # (1 + t/2) times the P1 interpolant: the reference lies in the discrete space
+    ref = ManufacturedSolution("interpolant", 1, a=lambda t: 1.0 + 0.5 * t,
+                               da=lambda t: np.full(np.shape(t), 0.5), s=s,
+                               grad_s=grad_s, lap_s=lambda x: np.zeros(x.shape[:-1]))
+    u_p = local_projection(ref.value, run.partition, run.ops, run.basis,
                            lin_cfg=LIN)
     rep = best_approximation_ratio(u_p, u_p, ref)
     assert rep.exact_case

@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from dgac import (
+    DgTimeOperators,
     LinearSolveConfig,
     LinearSolveError,
     SpaceOperators,
     build_interval_mesh,
     build_space,
     build_square_mesh,
+    make_time_basis,
     smallest_generalized_eigenvalue,
     solve_linear,
 )
@@ -98,6 +101,22 @@ def test_zero_diagonal_nonsingular_system_solves_exactly():
     A = sp.csr_array(np.array([[0.0, 1.0], [1.0, 1.0]]))
     x = solve_linear(A, np.array([1.0, 1.0]))
     np.testing.assert_array_equal(x, [0.0, 1.0])
+
+
+@pytest.mark.parametrize("n_per_side", [4, 16])
+def test_slab_systems_on_both_sides_of_the_ordering_switch(n_per_side):
+    # 2d P2 slab operators with 98 and 1922 unknowns: below and above the
+    # size from which factorize orders by minimum degree on A^T + A
+    ops = _ops(n_per_side, l=2, dim=2)
+    basis = make_time_basis(1)
+    time_ops = DgTimeOperators.from_basis(basis)
+    reaction = np.random.default_rng(2).uniform(-4.0, 8.0, (basis.n_quad,) + ops.dets.shape
+                                                 + ops.quad_weights.shape)
+    J = ops.slab_operator(basis, time_ops.G, time_ops.Theta, 0.05, reaction)
+    b = np.random.default_rng(3).standard_normal(J.shape[0])
+    x = solve_linear(J, b, LinearSolveConfig(rel_tolerance=1e-13))
+    x_ref = spla.spsolve(sp.csc_array(J), b)
+    assert np.linalg.norm(x - x_ref) <= 1e-11 * np.linalg.norm(x_ref)
 
 
 def test_singular_system_raises():
