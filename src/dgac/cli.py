@@ -133,11 +133,7 @@ def cmd_solve(cfg: RunConfig, outdir: str) -> int:
     disc = instantiate(cfg)
     run_id = cfg.output.run_id
     _print_guidance(cfg)
-    try:
-        sol = _solve(disc)
-    except SOLVER_ERRORS as exc:
-        print(_solver_error_json(exc, config_hash=config_hash(cfg)))
-        return EXIT_SOLVER
+    sol = _solve(disc)
     n_cells = disc.space.mesh.n_elements
     outputs = []
 
@@ -356,26 +352,17 @@ def _characteristic_entry(cfg: RunConfig, chash: str) -> dict:
 
 
 def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
-    if under_integrate:
-        cfg = dataclasses.replace(
-            cfg, quadrature=QuadratureConfig(
-                time_points=max(1, cfg.time.k),
-                space_order=cfg.quadrature.space_order,
-                allow_inexact=True))
+    """Identity checks of cfg; main has already degraded it under --under-integrate."""
     chash = config_hash(cfg)
     run_id = cfg.output.run_id
     disc = instantiate(cfg)
-    try:
-        sol = _solve(disc)
-        phi = solve_backward_dual(sol, disc.problem, ops=disc.ops, lin_cfg=disc.linear)
-        dual = duality_identity_report(sol, phi, disc.problem)
-        reports = [_identity_entry(dual.name, dual.lhs, dual.rhs, dual.residual, 1e-8, chash),
-                   _energy_entry(cfg, disc, sol, chash),
-                   _projection_moment_entry(cfg, disc, chash),
-                   _characteristic_entry(cfg, chash)]
-    except SOLVER_ERRORS as exc:
-        print(_solver_error_json(exc, config_hash=chash))
-        return EXIT_SOLVER
+    sol = _solve(disc)
+    phi = solve_backward_dual(sol, disc.problem, ops=disc.ops, lin_cfg=disc.linear)
+    dual = duality_identity_report(sol, phi, disc.problem)
+    reports = [_identity_entry(dual.name, dual.lhs, dual.rhs, dual.residual, 1e-8, chash),
+               _energy_entry(cfg, disc, sol, chash),
+               _projection_moment_entry(cfg, disc, chash),
+               _characteristic_entry(cfg, chash)]
     path = os.path.join(outdir, f"{run_id}_identities.json")
     _write_json(path, reports)
     _write_manifest(outdir, run_id, cfg, "verify", [path],
@@ -404,14 +391,9 @@ def cmd_verify(cfg: RunConfig, outdir: str, under_integrate: bool) -> int:
 def cmd_spectrum(cfg: RunConfig, outdir: str, samples: int) -> int:
     disc = instantiate(cfg)
     run_id = cfg.output.run_id
-    try:
-        sol = _solve(disc)
-        times = np.linspace(0.0, cfg.time.T, samples)
-        trace = spectrum_along_solution(sol, disc.space, times, cfg.epsilon,
-                                        ops=disc.ops)
-    except SOLVER_ERRORS as exc:
-        print(_solver_error_json(exc, config_hash=config_hash(cfg)))
-        return EXIT_SOLVER
+    sol = _solve(disc)
+    times = np.linspace(0.0, cfg.time.T, samples)
+    trace = spectrum_along_solution(sol, disc.space, times, cfg.epsilon, ops=disc.ops)
     doc = trace.to_dict()
     doc["config_hash"] = config_hash(cfg)
     doc["note"] = ("Rayleigh quotient over the Dirichlet-constrained discrete "
@@ -485,10 +467,19 @@ def _check_arguments(cfg: RunConfig, args) -> None:
 
 
 def main(argv=None) -> int:
+    """Dispatch a subcommand.  Config errors exit 4; a solver error escaping
+    solve, verify or spectrum prints its evidence with the hash of the
+    config that was solved and exits 2 (convergence and stability-sweep
+    report their own, after writing their partial tables)."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
         _check_arguments(cfg, args)
+        if args.command == "verify" and args.under_integrate:
+            # negative control: the time quadrature cut to max(1, k) points
+            cfg = dataclasses.replace(cfg, quadrature=QuadratureConfig(
+                time_points=max(1, cfg.time.k), space_order=cfg.quadrature.space_order,
+                allow_inexact=True))
         outdir = _resolve_outdir(cfg, args.out)
         if args.command == "solve":
             return cmd_solve(cfg, outdir)
@@ -504,6 +495,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(_error_json("config", str(exc)))
         return EXIT_CONFIG
+    except SOLVER_ERRORS as exc:
+        print(_solver_error_json(exc, config_hash=config_hash(cfg)))
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import SpaceOperators, quadratic_forms
-from .forward import DgSolution, SlabSolution, l2_project
+from .forward import DgSolution, SlabSolution, forcing_loads, l2_project, time_moments
 from .linalg import LinearSolveConfig, factorize, solve_linear
 from .problems import ManufacturedSolution, ProblemSpec
 from .space import FeSpace
@@ -43,13 +43,6 @@ class IdentityReport:
     residual: float
     details: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        doc = {"identity": self.name, "lhs": self.lhs, "rhs": self.rhs,
-               "residual": self.residual}
-        if self.details:
-            doc["details"] = self.details
-        return doc
-
 
 @dataclass
 class BackwardSolution:
@@ -64,10 +57,8 @@ class BackwardSolution:
     partition: TimePartition
     basis: TimeBasis
     space: FeSpace
-    kind: str                          # "dual" or "linearized"
     slab_coeffs: list[np.ndarray] = field(default_factory=list)
     laplacian: list[np.ndarray] | None = None
-    rhs_reference: object = None
 
     @property
     def k(self) -> int:
@@ -110,32 +101,68 @@ def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     return ops.time_fields(u_ref, t0 + tau * basis.quad_points)
 
 
+def _data_moments(rhs, basis: TimeBasis, ops: SpaceOperators):
+    """data(n, t0, tau) of a backward problem: the rows tau int chi_i (rhs, phi)
+    of slab n, (k+1, n_free).  rhs is a slab polynomial on the same
+    partition (paired through Theta) or a callable g(t, x) (loads at the
+    time quadrature points)."""
+    if hasattr(rhs, "coeffs"):
+        M = ops.mass()
+        Theta = DgTimeOperators.from_basis(basis).Theta
+        return lambda n, t0, tau: tau * (Theta @ (M @ rhs.coeffs(n).T).T)
+    qp = basis.quad_points
+    return lambda n, t0, tau: time_moments(
+        basis, tau, ops.load(ops.time_fields(rhs, t0 + tau * qp)))
+
+
+def _dual_terms(u_h: DgSolution, problem: ProblemSpec, ops: SpaceOperators):
+    """(reaction, data) of the backward dual problem, callables of (n, t0, tau):
+    the reaction (u_h^2 + 1)/eps^2 at the time quadrature points of slab n
+    and the data rows of u_h."""
+    inv_eps2 = 1.0 / problem.epsilon**2
+
+    def reaction(n, t0, tau):
+        return inv_eps2 * (_reference_values(u_h, n, t0, tau, u_h.basis, ops) ** 2 + 1.0)
+
+    return reaction, _data_moments(u_h, u_h.basis, ops)
+
+
+def _psi_terms(u_ref, rhs, basis: TimeBasis, problem: ProblemSpec, ops: SpaceOperators):
+    """(reaction, data) of the linearized backward problem, as _dual_terms:
+    the reaction (3 u_ref^2 - 1)/eps^2 and the data rows of rhs."""
+    inv_eps2 = 1.0 / problem.epsilon**2
+
+    def reaction(n, t0, tau):
+        return inv_eps2 * (3.0 * _reference_values(u_ref, n, t0, tau, basis, ops) ** 2 - 1.0)
+
+    return reaction, _data_moments(rhs, basis, ops)
+
+
 def _march_backward(
-    data_term,
-    reaction_for_slab,
+    reaction,
+    data,
     u_source: DgSolution,
     ops: SpaceOperators,
     lin_cfg: LinearSolveConfig,
-    kind: str,
 ) -> BackwardSolution:
-    """Shared right-to-left sweep; data_term(n) and reaction_for_slab(n, t0, tau).
+    """Shared right-to-left sweep over the terms of _dual_terms/_psi_terms.
 
     Slab n solves the transposed slab operator with G^T and the frozen
-    reaction fields (including the 1/eps^2) at the time quadrature points.
+    reaction fields (including the 1/eps^2) at the time quadrature points;
+    its right-hand side is the incoming trace plus the data rows.
     """
     partition, basis = u_source.partition, u_source.basis
     time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
     pts = partition.points
     out = BackwardSolution(partition=partition, basis=basis, space=ops.space,
-                           kind=kind, slab_coeffs=[None] * partition.n_slabs)
+                           slab_coeffs=[None] * partition.n_slabs)
     incoming = np.zeros(ops.space.n_free)
     for n in range(partition.n_slabs, 0, -1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        K = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, tau,
-                              reaction_for_slab(n, t0, tau))
-        rhs = np.outer(basis.right_values, M @ incoming) + data_term(n, t0, tau)
+        K = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, tau, reaction(n, t0, tau))
+        rhs = np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)
         coeffs = solve_linear(K, rhs.ravel(), lin_cfg).reshape(basis.k + 1, -1)
         out.slab_coeffs[n - 1] = coeffs
         incoming = basis.left_values @ coeffs
@@ -163,20 +190,7 @@ def solve_backward_dual(
     """
     ops = ops or SpaceOperators(u_h.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
-    inv_eps2 = 1.0 / problem.epsilon**2
-    M = ops.mass()
-    Theta = DgTimeOperators.from_basis(u_h.basis).Theta
-
-    def reaction(n, t0, tau):
-        vals = _reference_values(u_h, n, t0, tau, u_h.basis, ops)
-        return inv_eps2 * (vals**2 + 1.0)
-
-    def data(n, t0, tau):
-        return tau * (Theta @ (M @ u_h.coeffs(n).T).T)
-
-    out = _march_backward(data, reaction, u_h, ops, lin_cfg, kind="dual")
-    out.rhs_reference = u_h
-    return out
+    return _march_backward(*_dual_terms(u_h, problem, ops), u_h, ops, lin_cfg)
 
 
 def solve_backward_psi(
@@ -207,26 +221,9 @@ def solve_backward_psi(
         raise ValueError("need a slab-polynomial object to fix the discretization")
     ops = ops or SpaceOperators(shape.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
-    inv_eps2 = 1.0 / problem.epsilon**2
-    basis = shape.basis
-    M = ops.mass()
+    terms = _psi_terms(u_ref, rhs, shape.basis, problem, ops)
+    out = _march_backward(*terms, shape, ops, lin_cfg)
     A = ops.stiffness()
-    Theta = DgTimeOperators.from_basis(basis).Theta
-
-    def reaction(n, t0, tau):
-        vals = _reference_values(u_ref, n, t0, tau, basis, ops)
-        return inv_eps2 * (3.0 * vals**2 - 1.0)
-
-    if hasattr(rhs, "coeffs"):
-        def data(n, t0, tau):
-            return tau * (Theta @ (M @ rhs.coeffs(n).T).T)
-    else:
-        def data(n, t0, tau):
-            loads = ops.load(ops.time_fields(rhs, t0 + tau * basis.quad_points))
-            return tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
-
-    out = _march_backward(data, reaction, shape, ops, lin_cfg, kind="linearized")
-    out.rhs_reference = rhs
     mass_solve = ops.mass_solver(lin_cfg)
     out.laplacian = [
         np.stack([mass_solve(A @ row) for row in coeffs]) for coeffs in out.slab_coeffs
@@ -236,11 +233,6 @@ def solve_backward_psi(
 
 # ---------------------------------------------------------------------------
 # identity evaluation
-
-
-def _exact_rule(k: int) -> TimeBasis:
-    """Fresh full-exactness rule, independent of whatever the solver used."""
-    return make_time_basis(k)
 
 
 def duality_identity_report(
@@ -257,7 +249,7 @@ def duality_identity_report(
     behind same-rule cancellations.
     """
     ops = ops or SpaceOperators(u_h.space)
-    rule = _exact_rule(u_h.basis.k)
+    rule = make_time_basis(u_h.basis.k)  # full exactness, whatever the solver used
     M = ops.mass()
     pts = u_h.partition.points
     lhs = 0.0
@@ -270,8 +262,8 @@ def duality_identity_report(
         mu = (M @ uq.T).T
         lhs += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, uq))
         cross += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, pq))
-        if problem.f is not None:
-            fv = ops.load(ops.time_fields(problem.f, pts[n - 1] + tau * rule.quad_points))
+        fv = forcing_loads(problem, ops, pts[n - 1] + tau * rule.quad_points)
+        if fv is not None:
             force += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, fv, pq))
     rhs = float(u_h.initial @ (M @ phi.left_plus(1))) + 2.0 / problem.epsilon**2 * cross + force
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)
@@ -286,40 +278,44 @@ def duality_identity_report(
     )
 
 
-def _backward_energy_report(psi: BackwardSolution, reaction, data, ops: SpaceOperators):
-    """Per-slab balance of a backward solve tested with its own solution.
+def slab_balances(sol, ends, reaction, data, ops: SpaceOperators):
+    """Per-slab balance of a slab system tested with its own solution v.
 
-    reaction(n, t0, tau) gives the frozen reaction fields r (1/eps^2
-    included), (nq_t, ne, nq), and data(n, t0, tau) the data load vectors,
-    (nq_t, n_free), at the time quadrature points of slab n.  Returns
-    (lhs_n, rhs_n, residual_n, forms_n) where
+    ends(n) gives the outgoing trace, the trace next to the incoming datum
+    and the incoming datum of slab n; reaction(n, t0, tau) the frozen
+    reaction fields r (1/eps^2 included) at the time quadrature points of
+    slab n, (nq_t, ne, nq); and data(n, t0, tau) the data rows
+    tau int chi_i (data, phi) of the slab system, (k+1, n_free), or None
+    for zero data.  Returns (lhs_n, rhs_n, residual_n, forms_n) where
 
-      lhs_n = 1/2 ||psi_n(0)||^2 + 1/2 ||psi_n(1) - psi_in||^2
-              - 1/2 ||psi_in||^2 + int_slab [ a(psi,psi) + (r psi, psi) ]
-      rhs_n = int_slab (data, psi)
+      lhs_n = 1/2 ||v_out||^2 + 1/2 ||v_near - v_in||^2 - 1/2 ||v_in||^2
+              + int_slab [ a(v,v) + (r v, v) ]
+      rhs_n = int_slab (data, v) = data rows . coefficients of v
 
-    and forms_n = (a(psi_q, psi_q), ||psi_q||^2, (r_q psi_q, psi_q)), each
-    (nq_t,) over the time quadrature points.  The balance is the computed
-    system dotted with its own coefficients, so it holds to solver
-    tolerance with the solver's quadrature.
+    and forms_n = (a(v_q, v_q), ||v_q||^2, (r_q v_q, v_q)), each (nq_t,)
+    over the time quadrature points.  The balance is the computed system
+    dotted with its own coefficients, so it holds to solver tolerance with
+    the solver's quadrature: for the forward scheme (ends u(t_n^-),
+    u(t_{n-1}^+), u(t_{n-1}^-), reaction (u^2 - 1)/eps^2) and for both
+    backward problems (ends v(t_{n-1}^+), v(t_n^-), the incoming datum).
     """
-    basis = psi.basis
+    basis = sol.basis
     w = basis.quad_weights
     M = ops.mass()
     A = ops.stiffness()
-    pts = psi.partition.points
+    pts = sol.partition.points
     lhs_list, rhs_list, res_list, forms = [], [], [], []
-    for n in range(1, psi.partition.n_slabs + 1):
+    for n in range(1, sol.partition.n_slabs + 1):
         t0, tau = pts[n - 1], pts[n] - pts[n - 1]
-        start = psi.left_plus(n)
-        incoming = psi.incoming(n)
-        jump = psi.right_trace(n) - incoming
-        pq = psi.eval_slab(n, basis.quad_points)
-        a, m = quadratic_forms(A, pq), quadratic_forms(M, pq)
-        react = ops.integrate(reaction(n, t0, tau) * ops.eval_free(pq) ** 2)
-        lhs = (0.5 * float(start @ (M @ start)) + 0.5 * float(jump @ (M @ jump))
+        out, near, incoming = ends(n)
+        jump = near - incoming
+        vq = sol.eval_slab(n, basis.quad_points)
+        a, m = quadratic_forms(A, vq), quadratic_forms(M, vq)
+        react = ops.integrate(reaction(n, t0, tau) * ops.eval_free(vq) ** 2)
+        lhs = (0.5 * float(out @ (M @ out)) + 0.5 * float(jump @ (M @ jump))
                - 0.5 * float(incoming @ (M @ incoming)) + tau * float((a + react) @ w))
-        rhs = tau * float(np.einsum("q,qa,qa->", w, data(n, t0, tau), pq))
+        rows = data(n, t0, tau)
+        rhs = 0.0 if rows is None else float(np.vdot(rows, sol.coeffs(n)))
         lhs_list.append(lhs)
         rhs_list.append(rhs)
         res_list.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0))
@@ -350,14 +346,9 @@ def dual_stability_report(
     basis = u_h.basis
     w = basis.quad_weights
     M = ops.mass()
-
-    def reaction(n, t0, tau):
-        return inv_eps2 * (_reference_values(u_h, n, t0, tau, basis, ops) ** 2 + 1.0)
-
-    def data(n, t0, tau):
-        return (M @ u_h.eval_slab(n, basis.quad_points).T).T
-
-    lhs_n, rhs_n, res_n, forms = _backward_energy_report(phi, reaction, data, ops)
+    lhs_n, rhs_n, res_n, forms = slab_balances(
+        phi, lambda n: (phi.left_plus(n), phi.right_trace(n), phi.incoming(n)),
+        *_dual_terms(u_h, problem, ops), ops)
 
     # Young form from the same slab forms: the boundary terms of the slab
     # balances telescope to 1/2 ||phi(0+)||^2 + 1/2 sum ||[phi]||^2, and the
@@ -403,21 +394,10 @@ def psi_chain_report(
     its principal eigenvalue.
     """
     ops = ops or SpaceOperators(psi.space)
-    inv_eps2 = 1.0 / problem.epsilon**2
     basis = psi.basis
-    M = ops.mass()
-
-    def reaction(n, t0, tau):
-        return inv_eps2 * (3.0 * _reference_values(u_ref, n, t0, tau, basis, ops) ** 2 - 1.0)
-
-    if hasattr(rhs, "coeffs"):
-        def data(n, t0, tau):
-            return (M @ rhs.eval_slab(n, basis.quad_points).T).T
-    else:
-        def data(n, t0, tau):
-            return ops.load(ops.time_fields(rhs, t0 + tau * basis.quad_points))
-
-    lhs_n, rhs_n, res_n, forms = _backward_energy_report(psi, reaction, data, ops)
+    lhs_n, rhs_n, res_n, forms = slab_balances(
+        psi, lambda n: (psi.left_plus(n), psi.right_trace(n), psi.incoming(n)),
+        *_psi_terms(u_ref, rhs, basis, problem, ops), ops)
     details = {"per_slab_residuals": [float(r) for r in res_n]}
     if spectral_floor is not None:
         pts = psi.partition.points
@@ -485,7 +465,7 @@ def solve_parabolic_projection(
         times = t0 + tau * basis.quad_points
         loads = np.outer(exact.da(times), mass_load) + np.outer(exact.a(times), grad_load)
         rhs = np.outer(time_ops.left_load, M @ p_prev)
-        rhs += tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
+        rhs += time_moments(basis, tau, loads)
         coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
         sol.slabs.append(SlabSolution(index=n, t_start=float(t0), t_end=float(pts[n]),
                                       coeffs=coeffs, left_incoming=p_prev))

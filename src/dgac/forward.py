@@ -71,6 +71,21 @@ def l2_project(f, ops: SpaceOperators, lin_cfg: LinearSolveConfig | None = None)
     return ops.mass_solver(lin_cfg)(ops.load(f))
 
 
+def time_moments(basis: TimeBasis, tau: float, loads: np.ndarray) -> np.ndarray:
+    """tau int_0^1 chi_i (load) dthat by the basis rule, (k+1, n_free).
+
+    loads holds load vectors at the time quadrature points, (nq_t, n_free).
+    """
+    return tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
+
+
+def forcing_loads(problem: ProblemSpec, ops: SpaceOperators, times) -> np.ndarray | None:
+    """Loads (f(t), phi) at the given times, (n_times, n_free); None when f = 0."""
+    if problem.f is None:
+        return None
+    return ops.load(ops.time_fields(problem.f, times))
+
+
 @dataclass
 class SlabSolution:
     """Solution polynomial on one slab, nodal-in-time coefficients."""
@@ -132,7 +147,7 @@ class DgSolution:
 class _SlabSystem:
     """Residual and Jacobian of one slab in flattened time-major layout."""
 
-    def __init__(self, ops, basis, time_ops, tau, epsilon, prev, forcing_loads):
+    def __init__(self, ops, basis, time_ops, tau, epsilon, prev, floads):
         self.ops = ops
         self.basis = basis
         self.G = time_ops.G
@@ -144,11 +159,10 @@ class _SlabSystem:
         self.A = ops.stiffness()
         self.n_free = ops.space.n_free
         self.prev_term = np.outer(self.left_load, self.M @ prev)  # (k+1, nf)
-        w = basis.quad_weights
-        if forcing_loads is None:
+        if floads is None:
             self.force_term = np.zeros((basis.k + 1, self.n_free))
         else:
-            self.force_term = tau * np.einsum("q,qi,qa->ia", w, basis.values, forcing_loads)
+            self.force_term = time_moments(basis, tau, floads)
 
     def quad_fields(self, U: np.ndarray) -> np.ndarray:
         """u at all time and space quadrature points, (nq_t, ne, nq)."""
@@ -158,8 +172,7 @@ class _SlabSystem:
         vals = self.quad_fields(U)
         nl = self.ops.load(vals**3 - vals)                     # (nq_t, n_free)
         out = self.G @ (self.M @ U.T).T + self.tau * (self.Theta @ (self.A @ U.T).T)
-        out += self.tau * self.inv_eps2 * np.einsum(
-            "q,qi,qa->ia", self.basis.quad_weights, self.basis.values, nl)
+        out += time_moments(self.basis, self.tau * self.inv_eps2, nl)
         return out - self.prev_term - self.force_term
 
     def jacobian(self, U: np.ndarray):
@@ -243,8 +256,7 @@ def solve_forward(
     for n in range(1, partition.n_slabs + 1):
         t0, t1 = pts[n - 1], pts[n]
         tau = t1 - t0
-        floads = None if problem.f is None else ops.load(
-            ops.time_fields(problem.f, t0 + tau * basis.quad_points))
+        floads = forcing_loads(problem, ops, t0 + tau * basis.quad_points)
         system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
         U, _ = solve_slab(system, guess, newton_cfg, lin_cfg,
@@ -338,20 +350,36 @@ def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
         )
     basis = make_time_basis(man["k"], man["time_quad_points"])
     partition = TimePartition(np.asarray(man["partition"]))
-    sol = DgSolution(
-        partition=partition,
-        basis=basis,
-        space=space,
-        initial=np.asarray(doc["initial"], dtype=float),
-    )
-    for s in doc["slabs"]:
+    if not len(doc["slabs"]) == partition.n_slabs == man["N_slabs"]:
+        raise ValueError(
+            f"checkpoint holds {len(doc['slabs'])} slabs and a partition of "
+            f"{partition.n_slabs}, but its manifest says N_slabs = {man['N_slabs']}"
+        )
+    shape = (basis.k + 1, space.n_free)
+    initial = np.asarray(doc["initial"], dtype=float)
+    if initial.shape != shape[1:]:
+        raise ValueError(f"checkpoint initial data has shape {initial.shape}, "
+                         f"expected {shape[1:]}")
+    sol = DgSolution(partition=partition, basis=basis, space=space, initial=initial)
+    pts = partition.points
+    for n, s in enumerate(doc["slabs"], start=1):
+        coeffs = np.asarray(s["coeffs"], dtype=float)
+        left = np.asarray(s["left_incoming"], dtype=float)
+        if coeffs.shape != shape or left.shape != shape[1:]:
+            raise ValueError(f"checkpoint slab {n}: coeffs/left_incoming have shapes "
+                             f"{coeffs.shape}/{left.shape}, expected {shape}/{shape[1:]}")
+        interval = (float(s["t_start"]), float(s["t_end"]))
+        expected = (float(pts[n - 1]), float(pts[n]))
+        if interval != expected:
+            raise ValueError(f"checkpoint slab {n}: interval {interval} does not match "
+                             f"the partition's {expected}")
         sol.slabs.append(
             SlabSolution(
                 index=int(s["index"]),
-                t_start=float(s["t_start"]),
-                t_end=float(s["t_end"]),
-                coeffs=np.asarray(s["coeffs"], dtype=float),
-                left_incoming=np.asarray(s["left_incoming"], dtype=float),
+                t_start=interval[0],
+                t_end=interval[1],
+                coeffs=coeffs,
+                left_incoming=left,
             )
         )
     return sol, man

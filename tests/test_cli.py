@@ -316,22 +316,31 @@ def test_cli_missing_config_file(tmp_path):
     assert _json_line(out)["error"] == "config"
 
 
-def test_cli_solver_failure_exit_code(tmp_path):
-    doc = _base_doc(tmp_path, run_id="fail",
-                    problem={"initial_profile": "interface"},
-                    epsilon=0.01,
-                    mesh={"n": 16},
-                    time={"T": 0.5, "N_slabs": 2, "k": 1},
-                    solver={"max_iter": 1})
-    code, out = run_cli(["solve", "--config", _write_cfg(tmp_path, doc)])
-    assert code == 2
+def _failing_doc(tmp_path):
+    """An interface config whose first Newton solve cannot converge."""
+    return _base_doc(tmp_path, run_id="fail",
+                     problem={"initial_profile": "interface"},
+                     epsilon=0.01,
+                     mesh={"n": 16},
+                     time={"T": 0.5, "N_slabs": 2, "k": 1},
+                     solver={"max_iter": 1})
+
+
+def _assert_solver_error(code, out, expected_hash):
+    assert code == EXIT_SOLVER
     err = _json_line(out)
     assert err["error"] == "solver"
     assert "slab" in err["message"]
-    assert len(err["config_hash"]) == 12
+    assert err["config_hash"] == expected_hash
     history = err["history"]
     assert isinstance(history, list) and history
     assert all(isinstance(h, float) for h in history)
+
+
+def test_cli_solver_failure_exit_code(tmp_path):
+    doc = _failing_doc(tmp_path)
+    code, out = run_cli(["solve", "--config", _write_cfg(tmp_path, doc)])
+    _assert_solver_error(code, out, config_hash(parse_config(doc)))
 
 
 def test_cli_solve_is_deterministic(tmp_path):
@@ -579,8 +588,33 @@ def test_cli_verify_k0_skips_energy(tmp_path):
     assert by_name["duality"]["status"] == "pass"
 
 
+def test_cli_verify_solver_failure(tmp_path):
+    doc = _failing_doc(tmp_path)
+    code, out = run_cli(["verify", "--config", _write_cfg(tmp_path, doc)])
+    _assert_solver_error(code, out, config_hash(parse_config(doc)))
+    assert not (tmp_path / "out" / "fail_identities.json").exists()
+
+
+def test_cli_verify_under_integrate_failure_carries_the_solved_hash(tmp_path):
+    doc = _failing_doc(tmp_path)
+    code, out = run_cli(["verify", "--config", _write_cfg(tmp_path, doc),
+                         "--under-integrate"])
+    # the hash is that of the degraded config that was solved
+    solved = dict(doc, quadrature={"time_points": 1, "allow_inexact": True})
+    assert config_hash(parse_config(solved)) != config_hash(parse_config(doc))
+    _assert_solver_error(code, out, config_hash(parse_config(solved)))
+
+
 # ---------------------------------------------------------------------------
 # spectrum
+
+
+def test_cli_spectrum_solver_failure(tmp_path):
+    doc = _failing_doc(tmp_path)
+    code, out = run_cli(["spectrum", "--config", _write_cfg(tmp_path, doc),
+                         "--samples", "3"])
+    _assert_solver_error(code, out, config_hash(parse_config(doc)))
+    assert not (tmp_path / "out" / "fail_spectrum.json").exists()
 
 
 def test_cli_spectrum_zero_state(tmp_path):

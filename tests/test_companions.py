@@ -1,5 +1,7 @@
 """Backward companion solves, their identities, and space-time projections."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,11 @@ from dgac import (
     ManufacturedSolution,
     NewtonConfig,
     SpaceOperators,
+    TimePartition,
     compute_norms,
     dual_stability_report,
     duality_identity_report,
+    energy_trace,
     laplacian_consistency_residual,
     local_projection,
     local_projection_slab,
@@ -22,6 +26,7 @@ from dgac import (
     solve_backward_psi,
     solve_forward,
     solve_parabolic_projection,
+    stability_identity_report,
 )
 from dgac.forward import DgSolution, SlabSolution, l2_project
 
@@ -144,6 +149,36 @@ def test_dual_stability_balance(solved_default):
     assert rep.details["young_lhs"] > 0.0
     assert rep.details["young_slack"] >= -1e-12
     assert rep.details["young_rhs"] >= rep.details["young_lhs"] - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# every slab balance on a non-uniform partition
+
+
+NON_UNIFORM = np.array([0.0, 0.04, 0.15, 0.2, 0.37, 0.5])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_identities_hold_on_a_non_uniform_partition(dimension, k):
+    run = make_run(dimension=dimension, T=0.5, n=8 if dimension == 1 else 3, k=k, l=2)
+    run = dataclasses.replace(run, partition=TimePartition(NON_UNIFORM))
+    problem, ops = run.problem, run.ops
+    sol = solve_forward(problem, ops, run.partition, run.basis, TIGHT, LIN)
+
+    phi = solve_backward_dual(sol, problem, ops, LIN)
+    assert duality_identity_report(sol, phi, problem, ops).residual <= 1e-8
+    dual = dual_stability_report(sol, phi, problem, ops)
+    assert dual.residual <= 1e-9
+    assert dual.details["young_slack"] >= 0.0
+    psi = solve_backward_psi(sol, sol, problem, ops=ops, lin_cfg=LIN)
+    assert psi_chain_report(psi, sol, sol, problem, ops).residual <= 1e-9
+    assert stability_identity_report(sol, problem, ops).residual <= 1e-9
+
+    if k >= 1:  # the energy balance is derived for f = 0 and k >= 1
+        unforced = dataclasses.replace(problem, f=None, exact=None)
+        free = solve_forward(unforced, ops, run.partition, run.basis, TIGHT, LIN)
+        assert energy_trace(free, unforced, ops).worst_residual <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -256,3 +256,41 @@ def test_checkpoint_rejects_mismatched_mesh(tmp_path, solved_default):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="does not match"):
         load_checkpoint(str(path))
+
+
+def _truncate_slabs(doc):
+    doc["slabs"] = doc["slabs"][:2]
+
+
+def _cut_coeffs(doc):
+    doc["slabs"][1]["coeffs"] = doc["slabs"][1]["coeffs"][:1]
+
+
+def _cut_left_incoming(doc):
+    doc["slabs"][3]["left_incoming"] = doc["slabs"][3]["left_incoming"][:7]
+
+
+def _cut_initial(doc):
+    doc["initial"] = doc["initial"][:2]
+
+
+def _shift_interval(doc):
+    doc["slabs"][2]["t_end"] += 1e-3
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_truncate_slabs, "holds 2 slabs .* N_slabs = 8"),
+    (_cut_coeffs, r"slab 2: .* shapes \(1, 15\)/\(15,\), expected \(2, 15\)/\(15,\)"),
+    (_cut_left_incoming, r"slab 4: .* shapes \(2, 15\)/\(7,\)"),
+    (_cut_initial, r"initial data has shape \(2,\), expected \(15,\)"),
+    (_shift_interval, "slab 3: interval .* does not match the partition"),
+], ids=["slab-count", "coeffs-shape", "left-incoming-shape", "initial-shape", "interval"])
+def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt, match):
+    run, sol = solved_default
+    path = tmp_path / "state.json"
+    save_checkpoint(sol, str(path), problem=run.problem)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_checkpoint(str(path))
