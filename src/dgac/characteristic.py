@@ -5,12 +5,11 @@ indicator of [0, that): it satisfies rho(0) = 1 and
 
     int_0^1 rho q = int_0^that q    for every q in P_{k-1}.
 
-Two independent construction routes are provided: the explicit formula
-rho(s) = 1 + s * sum_i c_i phat_i(s) with phat_i orthonormal in P_{k-1}
-under the weighted product (p, q) = int_0^1 eta p(eta) q(eta) d eta and
-c_i = -int_that^1 phat_i, and a direct solve of the (k+1) x (k+1) moment
-system in the monomial basis.  They agree to rounding and cross-check each
-other in the tests.
+It is built by the explicit formula rho(s) = 1 + s * sum_i c_i phat_i(s)
+with phat_i orthonormal in P_{k-1} under the weighted product
+(p, q) = int_0^1 eta p(eta) q(eta) d eta and c_i = -int_that^1 phat_i; the
+tests cross-check it against a direct solve of the (k+1) x (k+1) moment
+system in the monomial basis.
 
 Applying the map coefficient-wise to a slab polynomial (time-nodal
 representation) yields the discrete characteristic truncation u_c with
@@ -53,7 +52,7 @@ def _check_cut(t_hat: float) -> float:
 # The monomial Gram and moment matrices are Hilbert-like; at k = 4 their
 # conditioning eats five digits in double precision, which is too close to
 # the 1e-10 route-agreement requirement.  The systems are at most 5x5, so
-# both routes run their dense solves in extended precision instead.
+# the dense solves run in extended precision instead.
 
 
 def _solve_ld(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -110,37 +109,16 @@ def _explicit_route(k: int, t_hat: float) -> np.ndarray:
     return coeffs.astype(float)
 
 
-def _moment_route(k: int, t_hat: float) -> np.ndarray:
-    # row 0: rho(0) = 1; row m (1..k): int_0^1 rho s^{m-1} = that^m / m
-    A = np.zeros((k + 1, k + 1), dtype=np.longdouble)
-    rhs = np.zeros(k + 1, dtype=np.longdouble)
-    A[0, 0] = 1.0
-    rhs[0] = 1.0
-    t = np.longdouble(t_hat)
-    for m in range(1, k + 1):
-        A[m, :] = 1.0 / np.asarray(m + np.arange(k + 1), dtype=np.longdouble)
-        rhs[m] = t**m / m
-    return _solve_ld(A, rhs).astype(float)
-
-
-def discrete_characteristic(k: int, t_hat: float, method: str = "explicit") -> CharacteristicPoly:
+def discrete_characteristic(k: int, t_hat: float) -> CharacteristicPoly:
     """Construct rho for degree k and cut point that in (0, 1].
 
-    method selects the construction route: "explicit" (weighted orthonormal
-    basis formula) or "moments" (direct linear solve).  Both satisfy
-    rho(0) = 1 and the k moment conditions to rounding; t_hat = 1 gives
-    rho identically 1.
+    rho satisfies rho(0) = 1 and the k moment conditions to rounding;
+    t_hat = 1 gives rho identically 1.
     """
     if k < 0:
         raise ValueError("k must be >= 0")
     t = _check_cut(t_hat)
-    if method == "explicit":
-        coeffs = _explicit_route(k, t)
-    elif method == "moments":
-        coeffs = _moment_route(k, t)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return CharacteristicPoly(k=k, t_hat=t, coeffs=coeffs)
+    return CharacteristicPoly(k=k, t_hat=t, coeffs=_explicit_route(k, t))
 
 
 def _nodal_to_monomial(basis: TimeBasis) -> np.ndarray:

@@ -292,12 +292,10 @@ def _energy_entry(cfg: RunConfig, disc, sol, chash: str) -> dict:
         return {"identity": "energy_balance", "status": "skipped (k=0)",
                 "config_hash": chash}
     problem = disc.problem
-    if problem.f is not None:
+    if problem.exact is not None:
         # The balance is derived for the gradient flow; rerun the same
         # discretization with forcing removed and the same initial data.
-        problem = ProblemSpec(dimension=problem.dimension, epsilon=problem.epsilon,
-                              T=problem.T, u0=problem.u0, f=None, exact=None,
-                              name=problem.name + "+f0")
+        problem = dataclasses.replace(problem, exact=None, name=problem.name + "+f0")
         sol = _solve(disc, problem)
     trace = energy_trace(sol, problem, disc.ops)
     pts = sol.partition.points

@@ -252,6 +252,7 @@ def duality_identity_report(
     rule = make_time_basis(u_h.basis.k)  # full exactness, whatever the solver used
     M = ops.mass()
     pts = u_h.partition.points
+    loads = forcing_loads(problem, ops)
     lhs = 0.0
     cross = 0.0
     force = 0.0
@@ -262,8 +263,8 @@ def duality_identity_report(
         mu = (M @ uq.T).T
         lhs += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, uq))
         cross += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, mu, pq))
-        fv = forcing_loads(problem, ops, pts[n - 1] + tau * rule.quad_points)
-        if fv is not None:
+        if loads is not None:
+            fv = loads(pts[n - 1] + tau * rule.quad_points)
             force += tau * float(np.einsum("q,qa,qa->", rule.quad_weights, fv, pq))
     rhs = float(u_h.initial @ (M @ phi.left_plus(1))) + 2.0 / problem.epsilon**2 * cross + force
     residual = abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0)

@@ -261,7 +261,7 @@ def energy_trace(sol: DgSolution, problem: ProblemSpec, ops: SpaceOperators | No
     """
     if sol.basis.k < 1:
         raise UnsupportedConfigurationError("energy balance needs k >= 1")
-    if problem.f is not None:
+    if problem.exact is not None:
         raise UnsupportedConfigurationError("energy balance needs f = 0")
     ops = ops or SpaceOperators(sol.space)
     rows = [_energy_residual(sol, problem, n, ops)
@@ -297,9 +297,12 @@ def stability_identity_report(
     def reaction(n, t0, tau):
         return inv_eps2 * (ops.eval_free(sol.eval_slab(n, basis.quad_points)) ** 2 - 1.0)
 
+    loads = forcing_loads(problem, ops)
+
     def data(n, t0, tau):
-        loads = forcing_loads(problem, ops, t0 + tau * basis.quad_points)
-        return None if loads is None else time_moments(basis, tau, loads)
+        if loads is None:
+            return None
+        return time_moments(basis, tau, loads(t0 + tau * basis.quad_points))
 
     lhs_n, rhs_n, res_n, _ = slab_balances(
         sol, lambda n: (sol.right_trace(n), sol.left_plus(n), sol.right_trace(n - 1)),

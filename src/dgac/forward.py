@@ -79,11 +79,27 @@ def time_moments(basis: TimeBasis, tau: float, loads: np.ndarray) -> np.ndarray:
     return tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
 
 
-def forcing_loads(problem: ProblemSpec, ops: SpaceOperators, times) -> np.ndarray | None:
-    """Loads (f(t), phi) at the given times, (n_times, n_free); None when f = 0."""
-    if problem.f is None:
+def forcing_loads(problem: ProblemSpec, ops: SpaceOperators):
+    """The loads (f(t), phi) as a function loads(times) -> (n_times, n_free);
+    None when f = 0 (no manufactured solution).
+
+    For u = a(t) s(x), f = (a' - a/eps^2) s - a Laplace(s) + (a^3/eps^2) s^3,
+    so the three spatial loads (s, phi), (Laplace(s), phi) and (s^3, phi)
+    are assembled once and loads(times) scales them per time.
+    """
+    exact = problem.exact
+    if exact is None:
         return None
-    return ops.load(ops.time_fields(problem.f, times))
+    s = ops.evaluate_function(exact.s)
+    spatial = ops.load(np.stack([s, ops.evaluate_function(exact.lap_s), s**3]))  # (3, n_free)
+    inv_eps2 = 1.0 / problem.epsilon**2
+
+    def loads(times) -> np.ndarray:
+        t = np.asarray(times, dtype=float)
+        a = exact.a(t)
+        return np.column_stack([exact.da(t) - inv_eps2 * a, -a, inv_eps2 * a**3]) @ spatial
+
+    return loads
 
 
 @dataclass
@@ -252,11 +268,12 @@ def solve_forward(
     u_prev = l2_project(problem.u0, ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=u_prev)
 
+    loads = forcing_loads(problem, ops)
     pts = partition.points
     for n in range(1, partition.n_slabs + 1):
         t0, t1 = pts[n - 1], pts[n]
         tau = t1 - t0
-        floads = forcing_loads(problem, ops, t0 + tau * basis.quad_points)
+        floads = None if loads is None else loads(t0 + tau * basis.quad_points)
         system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
         U, _ = solve_slab(system, guess, newton_cfg, lin_cfg,
@@ -333,6 +350,18 @@ def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = No
     return manifest
 
 
+def _checkpoint_array(record: dict, key: str, where: str) -> np.ndarray:
+    """Field key of a checkpoint record as a float array; a missing field or
+    entries that do not form a numeric array raise a ValueError naming the
+    record (where) and the field."""
+    try:
+        return np.asarray(record[key], dtype=float)
+    except KeyError:
+        raise ValueError(f"{where}: missing field {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: field {key!r} is not a numeric array ({exc})") from exc
+
+
 def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
     """Rebuild a DgSolution (and its manifest) from a checkpoint file."""
     with open(path) as fh:
@@ -356,15 +385,15 @@ def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
             f"{partition.n_slabs}, but its manifest says N_slabs = {man['N_slabs']}"
         )
     shape = (basis.k + 1, space.n_free)
-    initial = np.asarray(doc["initial"], dtype=float)
+    initial = _checkpoint_array(doc, "initial", "checkpoint")
     if initial.shape != shape[1:]:
         raise ValueError(f"checkpoint initial data has shape {initial.shape}, "
                          f"expected {shape[1:]}")
     sol = DgSolution(partition=partition, basis=basis, space=space, initial=initial)
     pts = partition.points
     for n, s in enumerate(doc["slabs"], start=1):
-        coeffs = np.asarray(s["coeffs"], dtype=float)
-        left = np.asarray(s["left_incoming"], dtype=float)
+        coeffs, left = (_checkpoint_array(s, key, f"checkpoint slab {n}")
+                        for key in ("coeffs", "left_incoming"))
         if coeffs.shape != shape or left.shape != shape[1:]:
             raise ValueError(f"checkpoint slab {n}: coeffs/left_incoming have shapes "
                              f"{coeffs.shape}/{left.shape}, expected {shape}/{shape[1:]}")

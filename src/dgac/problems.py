@@ -7,7 +7,7 @@ The equation solved is
 
 with eps the interface-width parameter.  Manufactured solutions are
 products a(t) s(x) of a time factor and a spatial factor, with the
-derivatives needed to form forcing terms and error norms; initial profiles
+derivatives needed to form forcing loads and error norms; initial profiles
 provide data without an exact solution.
 """
 
@@ -49,17 +49,6 @@ class ManufacturedSolution:
 
     def laplacian(self, t: float, x: np.ndarray) -> np.ndarray:
         return self.a(t) * self.lap_s(x)
-
-    def forcing(self, epsilon: float) -> Callable[[float, np.ndarray], np.ndarray]:
-        """f = u_t - Laplace(u) + (u^3 - u)/eps^2 for this exact solution."""
-        inv_eps2 = 1.0 / epsilon**2
-
-        def f(t: float, x: np.ndarray) -> np.ndarray:
-            a, s = self.a(t), self.s(x)
-            u = a * s
-            return self.da(t) * s - a * self.lap_s(x) + inv_eps2 * (u**3 - u)
-
-        return f
 
 
 @dataclass(frozen=True)
@@ -137,13 +126,16 @@ PROFILES: dict[str, InitialProfile] = {
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Fully specified initial boundary value problem instance."""
+    """Fully specified initial boundary value problem instance.
+
+    The forcing is that of the manufactured solution exact, zero when exact
+    is None (forward.forcing_loads turns it into loads).
+    """
 
     dimension: int
     epsilon: float
     T: float
     u0: Callable[[np.ndarray], np.ndarray]
-    f: Optional[Callable[[float, np.ndarray], np.ndarray]]  # None means zero forcing
     exact: Optional[ManufacturedSolution]
     name: str
 
@@ -186,7 +178,6 @@ def make_problem(
             epsilon=epsilon,
             T=T,
             u0=lambda x: exact.value(0.0, x),
-            f=exact.forcing(epsilon),
             exact=exact,
             name=manufactured,
         )
@@ -205,7 +196,6 @@ def make_problem(
         epsilon=eps,
         T=T,
         u0=lambda x: prof.value(x, eps),
-        f=None,
         exact=None,
         name=initial_profile,
     )

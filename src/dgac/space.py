@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .mesh import Mesh, element_edges
 
@@ -28,11 +27,36 @@ def gauss_legendre_01(n_points: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
+def _jacobi10(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n^(1,0)(x) and its derivative by the three-term recurrence
+    (m+1)(2m-1) P_m = ((4m^2-1) x + 1) P_{m-1} - (m-1)(2m+1) P_{m-2}."""
+    p_prev, p = np.zeros_like(x), np.ones_like(x)
+    d_prev, d = np.zeros_like(x), np.zeros_like(x)
+    for m in range(1, n + 1):
+        b, c, scale = 4 * m * m - 1, (m - 1) * (2 * m + 1), (m + 1) * (2 * m - 1)
+        a = b * x + 1.0
+        p, p_prev, d, d_prev = ((a * p - c * p_prev) / scale, p,
+                                (a * d + b * p - c * d_prev) / scale, d)
+    return p, d
+
+
 def gauss_jacobi10_01(n_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss rule for the weight (1 - t) on [0, 1], exact for degree 2*n_points - 1."""
-    x, w = roots_jacobi(n_points, 1.0, 0.0)
-    # map from weight (1-x) on [-1,1]: total factor 1/4
-    return 0.5 * (x + 1.0), 0.25 * w
+    """Gauss rule for the weight (1 - t) on [0, 1], exact for degree 2*n_points - 1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of
+    P_n^(1,0) on [-1, 1], refined by one Newton step on the recurrence; the
+    weights are 4 / ((1 - x^2) P_n'(x)^2), times 1/4 for the map to [0, 1].
+    """
+    if n_points < 1:
+        raise ValueError("need at least one quadrature point")
+    j, m = np.arange(n_points), np.arange(1, n_points)
+    off = np.sqrt(m * (m + 1.0)) / (2 * m + 1)
+    jacobi = np.diag(-1.0 / ((2 * j + 1) * (2 * j + 3))) + np.diag(off, 1) + np.diag(off, -1)
+    x = np.linalg.eigvalsh(jacobi)
+    p, d = _jacobi10(n_points, x)
+    x = x - p / d
+    _, d = _jacobi10(n_points, x)
+    return 0.5 * (x + 1.0), 1.0 / ((1.0 - x * x) * d * d)
 
 
 def interval_rule(exact_degree: int) -> tuple[np.ndarray, np.ndarray]:

@@ -13,9 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
-from .space import gauss_legendre_01
+from .space import gauss_jacobi10_01, gauss_legendre_01
 
 
 @dataclass(frozen=True)
@@ -68,14 +67,15 @@ def radau_right_nodes(k: int) -> np.ndarray:
     """k+1 right Gauss-Radau points on [0, 1], last node exactly 1.
 
     Interior nodes are the roots of the Jacobi polynomial P_k^{(1,0)}
-    mapped from [-1, 1]; for k = 0 the single node is 1.
+    mapped from [-1, 1], the nodes of the k-point (1 - t)-weighted Gauss
+    rule; for k = 0 the single node is 1.
     """
     if k < 0:
         raise ValueError("polynomial degree k must be >= 0")
     if k == 0:
         return np.array([1.0])
-    interior, _ = roots_jacobi(k, 1.0, 0.0)
-    return np.concatenate([0.5 * (interior + 1.0), [1.0]])
+    interior, _ = gauss_jacobi10_01(k)
+    return np.concatenate([interior, [1.0]])
 
 
 def _lagrange_values(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:

@@ -24,6 +24,7 @@ from dgac import (
     make_problem,
     make_time_basis,
 )
+from dgac.characteristic import _solve_ld
 from dgac.forward import DgSolution, SlabSolution
 
 
@@ -190,6 +191,29 @@ def monomial_eval(W: np.ndarray, that) -> np.ndarray:
     return P @ W
 
 
+def manufactured_forcing(exact, eps):
+    """Pointwise f = u_t - Laplace(u) + (u^3 - u)/eps^2 of an exact solution."""
+    def f(t, x):
+        u = exact.value(t, x)
+        return exact.dt(t, x) - exact.laplacian(t, x) + (u**3 - u) / eps**2
+    return f
+
+
+def moment_route(k: int, t_hat: float) -> np.ndarray:
+    """Monomial coefficients of the cut polynomial rho by a direct solve of
+    its (k+1) x (k+1) moment system, the cross-check of the explicit route."""
+    # row 0: rho(0) = 1; row m (1..k): int_0^1 rho s^{m-1} = that^m / m
+    A = np.zeros((k + 1, k + 1), dtype=np.longdouble)
+    rhs = np.zeros(k + 1, dtype=np.longdouble)
+    A[0, 0] = 1.0
+    rhs[0] = 1.0
+    t = np.longdouble(t_hat)
+    for m in range(1, k + 1):
+        A[m, :] = 1.0 / np.asarray(m + np.arange(k + 1), dtype=np.longdouble)
+        rhs[m] = t**m / m
+    return _solve_ld(A, rhs).astype(float)
+
+
 def dense_spacetime_oracle(problem, n: int, N: int, k: int, tol: float = 1e-13):
     """Monolithic space-time reference solve in the monomial time basis.
 
@@ -212,12 +236,13 @@ def dense_spacetime_oracle(problem, n: int, N: int, k: int, tol: float = 1e-13):
 
     u0 = np.linalg.solve(M, hat_load_1d(lambda x: problem.u0(x[:, None]), n))
     floads = np.zeros((N, len(sq), m))
-    if problem.f is not None:
+    if problem.exact is not None:
+        f = manufactured_forcing(problem.exact, problem.epsilon)
         for s in range(N):
             for q in range(len(sq)):
                 tq = (s + sq[q]) * tau
                 floads[s, q] = hat_load_1d(
-                    lambda x, tq=tq: problem.f(tq, x[:, None]), n)
+                    lambda x, tq=tq: f(tq, x[:, None]), n)
 
     nuk = (k + 1) * m
 
@@ -277,7 +302,7 @@ def implicit_euler_oracle(problem, n: int, N: int, tol: float = 1e-13):
 
     Returns [u^0, u^1, ..., u^N] on the interior vertices.
     """
-    if problem.f is not None:
+    if problem.exact is not None:
         raise ValueError("this reference integrator only handles f = 0")
     M = tridiag_mass(n)
     A = tridiag_stiffness(n)

@@ -11,7 +11,9 @@ from dgac import (
     sup_norm_scan,
 )
 
-from _helpers import gauss01
+from _helpers import gauss01, moment_route
+
+polyval = np.polynomial.polynomial.polyval
 
 
 def test_input_validation():
@@ -21,8 +23,6 @@ def test_input_validation():
         discrete_characteristic(1, 0.0)
     with pytest.raises(ValueError):
         discrete_characteristic(1, 1.2)
-    with pytest.raises(ValueError):
-        discrete_characteristic(1, 0.5, method="magic")
     with pytest.raises(ValueError):
         characteristic_transfer_matrix(make_time_basis(1), -0.1)
 
@@ -36,18 +36,15 @@ def test_lowest_order_is_constant_one():
 def test_full_cut_gives_identity():
     s = np.linspace(0.0, 1.0, 31)
     for k in range(5):
-        for method in ("explicit", "moments"):
-            rho = discrete_characteristic(k, 1.0, method=method)
-            np.testing.assert_allclose(rho(s), 1.0, atol=1e-12)
+        for coeffs in (discrete_characteristic(k, 1.0).coeffs, moment_route(k, 1.0)):
+            np.testing.assert_allclose(polyval(s, coeffs), 1.0, atol=1e-12)
 
 
 def test_first_order_closed_form():
     # for k = 1 the truncation polynomial is rho(s) = 1 + 2 (that - 1) s
     for cut in (0.2, 1.0 / 3.0, 0.5, 0.85):
-        for method in ("explicit", "moments"):
-            rho = discrete_characteristic(1, cut, method=method)
-            np.testing.assert_allclose(rho.coeffs, [1.0, 2.0 * (cut - 1.0)],
-                                       atol=1e-13)
+        for coeffs in (discrete_characteristic(1, cut).coeffs, moment_route(1, cut)):
+            np.testing.assert_allclose(coeffs, [1.0, 2.0 * (cut - 1.0)], atol=1e-13)
     half = discrete_characteristic(1, 0.5)
     s = np.linspace(0.0, 1.0, 11)
     np.testing.assert_allclose(half(s), 1.0 - s, atol=1e-13)
@@ -64,8 +61,8 @@ def test_defining_properties_random_cuts():
             for m in range(1, k + 1):
                 # int_0^1 rho s^{m-1} = cut^m / m
                 assert abs(rho.moment(m - 1) - cut**m / m) <= 1e-12
-            other = discrete_characteristic(k, cut, method="moments")
-            assert np.max(np.abs(rho(s) - other(s))) <= 1e-10
+            other = moment_route(k, cut)
+            assert np.max(np.abs(rho(s) - polyval(s, other))) <= 1e-10
 
 
 def test_moment_against_quadrature():

@@ -176,7 +176,7 @@ def test_identities_hold_on_a_non_uniform_partition(dimension, k):
     assert stability_identity_report(sol, problem, ops).residual <= 1e-9
 
     if k >= 1:  # the energy balance is derived for f = 0 and k >= 1
-        unforced = dataclasses.replace(problem, f=None, exact=None)
+        unforced = dataclasses.replace(problem, exact=None)
         free = solve_forward(unforced, ops, run.partition, run.basis, TIGHT, LIN)
         assert energy_trace(free, unforced, ops).worst_residual <= 1e-10
 

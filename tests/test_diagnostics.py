@@ -35,7 +35,7 @@ def _small_run(k, n=16, N=8, T=1.0):
     """Unforced low-amplitude problem, the setting where energy decays."""
     problem = ProblemSpec(dimension=1, epsilon=0.5, T=T,
                           u0=lambda x: 0.1 * np.sin(np.pi * x[..., 0]),
-                          f=None, exact=None, name="smallsine")
+                          exact=None, name="smallsine")
     mesh = build_interval_mesh(n)
     space = build_space(mesh, 1)
     return Run(problem, mesh, space, SpaceOperators(space),

@@ -40,7 +40,7 @@ TIGHT = NewtonConfig(abs_tol=1e-13, rel_tol=1e-13)
 def _small_amplitude_problem(T=0.3):
     return ProblemSpec(dimension=1, epsilon=0.5, T=T,
                        u0=lambda x: 0.1 * np.sin(np.pi * x[..., 0]),
-                       f=None, exact=None, name="smallsine")
+                       exact=None, name="smallsine")
 
 
 # ---------------------------------------------------------------------------
@@ -278,13 +278,34 @@ def _shift_interval(doc):
     doc["slabs"][2]["t_end"] += 1e-3
 
 
+def _ragged_coeffs(doc):
+    doc["slabs"][1]["coeffs"][0] = doc["slabs"][1]["coeffs"][0][:3]
+
+
+def _drop_coeffs(doc):
+    del doc["slabs"][1]["coeffs"]
+
+
+def _text_in_coeffs(doc):
+    doc["slabs"][1]["coeffs"][1][4] = "x"
+
+
+def _text_in_initial(doc):
+    doc["initial"][3] = "x"
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_truncate_slabs, "holds 2 slabs .* N_slabs = 8"),
     (_cut_coeffs, r"slab 2: .* shapes \(1, 15\)/\(15,\), expected \(2, 15\)/\(15,\)"),
     (_cut_left_incoming, r"slab 4: .* shapes \(2, 15\)/\(7,\)"),
     (_cut_initial, r"initial data has shape \(2,\), expected \(15,\)"),
     (_shift_interval, "slab 3: interval .* does not match the partition"),
-], ids=["slab-count", "coeffs-shape", "left-incoming-shape", "initial-shape", "interval"])
+    (_ragged_coeffs, "slab 2: field 'coeffs' is not a numeric array"),
+    (_drop_coeffs, "slab 2: missing field 'coeffs'"),
+    (_text_in_coeffs, "slab 2: field 'coeffs' is not a numeric array"),
+    (_text_in_initial, "checkpoint: field 'initial' is not a numeric array"),
+], ids=["slab-count", "coeffs-shape", "left-incoming-shape", "initial-shape", "interval",
+        "coeffs-ragged", "coeffs-missing", "coeffs-text", "initial-text"])
 def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt, match):
     run, sol = solved_default
     path = tmp_path / "state.json"

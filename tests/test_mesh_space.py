@@ -1,5 +1,7 @@
 """Meshes, reference elements and finite element spaces."""
 
+from math import factorial
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from dgac import (
     build_square_mesh,
 )
 from dgac.mesh import element_edges
-from dgac.space import ReferenceElement
+from dgac.space import ReferenceElement, gauss_jacobi10_01, triangle_rule
 
 from _helpers import p1_error_norms_1d, tridiag_mass, tridiag_stiffness
 
@@ -98,6 +100,29 @@ def test_nested_refinement_shares_vertices():
     fine = build_interval_mesh(8)
     assert set(np.round(coarse.vertices[:, 0], 12)).issubset(
         set(np.round(fine.vertices[:, 0], 12)))
+
+
+# ---------------------------------------------------------------------------
+# quadrature
+
+
+def test_gauss_jacobi_rule_is_exact():
+    for n in range(1, 16):
+        t, w = gauss_jacobi10_01(n)
+        for j in range(2 * n):
+            # int_0^1 (1 - t) t^j dt = 1 / ((j + 1)(j + 2))
+            assert abs(w @ t**j - 1.0 / ((j + 1) * (j + 2))) <= 1e-14, (n, j)
+
+
+def test_triangle_rule_is_exact():
+    for degree in range(13):
+        pts, w = triangle_rule(degree)
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                # int_T xi^a eta^b = a! b! / (a + b + 2)!
+                want = factorial(a) * factorial(b) / factorial(a + b + 2)
+                got = w @ (pts[:, 0] ** a * pts[:, 1] ** b)
+                assert abs(got - want) <= 1e-14, (degree, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -156,7 +156,7 @@ def test_stability_and_energy_reports_pinned(pinned_run):
     rep = stability_identity_report(sol, run.problem, run.ops)
     _assert_pinned([rep.lhs, rep.rhs], PINS[name]["stability"])
     assert rep.residual <= 1e-9
-    if run.problem.f is None:
+    if run.problem.exact is None:
         trace = energy_trace(sol, run.problem, run.ops)
         right, integrated, dissipation = PINS[name]["energy"]
         _assert_pinned(trace.right_energy, right)
