@@ -9,12 +9,17 @@ u(that) = sum_j chi_j(that) U_j with free-dof vectors U_j satisfies
 
 where u_prev is the incoming trace from the previous slab (the projected
 initial data for n = 1).  One fixed spatial space serves every slab.  The
-nonlinear system is solved by damped Newton with the exact Jacobian
+nonlinear system is solved by damped simplified Newton with the Jacobian
 
     J = kron(G, M) + tau kron(Theta, A)
         + (tau/eps^2) sum_q w_q kron(chi(t_q) chi(t_q)^T, W(3 u_q^2 - 1)),
 
-with W the weighted mass matrix.  The initial guess is the constant-in-time
+with W the weighted mass matrix.  One sparse LU of J is reused across
+Newton steps and carried from slab to slab; it is re-assembled and
+re-factored at the current iterate when a step with it cuts the residual
+by less than a factor 10 or its line search stalls, and at every step once
+the residual is within 1e4 times the target, so the steps that reach the
+target are full Newton steps.  The initial guess is the constant-in-time
 extension of the incoming trace.
 """
 
@@ -22,12 +27,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import SpaceOperators
-from .linalg import LinearSolveConfig, solve_linear
+from .linalg import LinearSolveConfig, factorize
 from .mesh import build_interval_mesh, build_square_mesh
 from .problems import ProblemSpec
 from .space import FeSpace, build_space
@@ -196,17 +202,29 @@ class _SlabSystem:
         return self.ops.slab_operator(self.basis, self.G, self.Theta, self.tau, reaction)
 
 
+# The refresh rule of the module docstring: a step with a reused
+# factorization must cut the residual by _CONTRACTION, and within
+# _FULL_NEWTON_ZONE times the target every step is a full Newton step.
+_CONTRACTION = 0.1
+_FULL_NEWTON_ZONE = 1e4
+
+
 def solve_slab(
     system: _SlabSystem,
     initial_guess: np.ndarray,
     newton_cfg: NewtonConfig,
     lin_cfg: LinearSolveConfig,
     context: str = "slab",
-) -> tuple[np.ndarray, int]:
-    """Damped Newton iteration on one slab system.
+    factorization: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> tuple[np.ndarray, int, Callable[[np.ndarray], np.ndarray] | None]:
+    """Damped simplified Newton iteration on one slab system.
 
-    Returns the coefficient array and the iteration count; raises
-    NewtonError with the residual history if the tolerance is not reached.
+    factorization is a factorize() solve to start from (the one the
+    previous slab ended with) or None; it is re-factored at the current
+    iterate by the refresh rule of the module docstring.  Returns the
+    coefficient array, the step count and the factorization last used;
+    raises NewtonError with the residual history if the tolerance is not
+    reached or the line search stalls with a fresh factorization.
     """
     U = initial_guess.copy()
     r = system.residual(U)
@@ -214,12 +232,15 @@ def solve_slab(
     target = newton_cfg.abs_tol + newton_cfg.rel_tol * norm0
     history = [norm0]
     if norm0 <= target:
-        return U, 0
-    for it in range(1, newton_cfg.max_iterations + 1):
-        J = system.jacobian(U)
-        delta = solve_linear(J, -r.ravel(), lin_cfg).reshape(U.shape)
-        step = 1.0
+        return U, 0, factorization
+    solve, it = factorization, 0
+    while it < newton_cfg.max_iterations:
         norm_prev = history[-1]
+        fresh = solve is None or norm_prev <= _FULL_NEWTON_ZONE * target
+        if fresh:
+            solve = factorize(system.jacobian(U), lin_cfg)
+        delta = solve(-r.ravel()).reshape(U.shape)
+        step = 1.0
         for _ in range(newton_cfg.max_halvings + 1):
             r_new = system.residual(U + step * delta)
             norm_new = float(np.linalg.norm(r_new))
@@ -227,16 +248,22 @@ def solve_slab(
                 break
             step *= 0.5
         else:
-            raise NewtonError(
-                f"{context}: line search stalled after {newton_cfg.max_halvings} halvings "
-                f"at iteration {it} (residual {norm_prev:.3e})",
-                history,
-            )
+            if fresh:
+                raise NewtonError(
+                    f"{context}: line search stalled after {newton_cfg.max_halvings} halvings "
+                    f"at iteration {it + 1} (residual {norm_prev:.3e})",
+                    history,
+                )
+            solve = None  # retry from the same iterate with a fresh factorization
+            continue
+        it += 1
         U = U + step * delta
         r = r_new
         history.append(norm_new)
         if norm_new <= target:
-            return U, it
+            return U, it, solve
+        if not fresh and norm_new > _CONTRACTION * norm_prev:
+            solve = None
     raise NewtonError(
         f"{context}: no convergence in {newton_cfg.max_iterations} iterations "
         f"(residual {history[-1]:.3e}, target {target:.3e})",
@@ -270,14 +297,16 @@ def solve_forward(
 
     loads = forcing_loads(problem, ops)
     pts = partition.points
+    solve = None  # one factorization carried from slab to slab
     for n in range(1, partition.n_slabs + 1):
         t0, t1 = pts[n - 1], pts[n]
         tau = t1 - t0
         floads = None if loads is None else loads(t0 + tau * basis.quad_points)
         system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
-        U, _ = solve_slab(system, guess, newton_cfg, lin_cfg,
-                          context=f"forward solve failed on slab {n}")
+        U, _, solve = solve_slab(system, guess, newton_cfg, lin_cfg,
+                                 context=f"forward solve failed on slab {n}",
+                                 factorization=solve)
         sol.slabs.append(
             SlabSolution(index=n, t_start=float(t0), t_end=float(t1), coeffs=U, left_incoming=u_prev)
         )
@@ -351,15 +380,22 @@ def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = No
 
 
 def _checkpoint_array(record: dict, key: str, where: str) -> np.ndarray:
-    """Field key of a checkpoint record as a float array; a missing field or
-    entries that do not form a numeric array raise a ValueError naming the
-    record (where) and the field."""
+    """Field key of a checkpoint record as a float array; a missing field,
+    entries that do not form a numeric array and non-finite entries (null
+    loads as NaN) raise a ValueError naming the record (where) and the field."""
     try:
-        return np.asarray(record[key], dtype=float)
+        values = np.asarray(record[key], dtype=float)
     except KeyError:
         raise ValueError(f"{where}: missing field {key!r}") from None
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{where}: field {key!r} is not a numeric array ({exc})") from exc
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{where}: field {key!r} holds non-finite values")
+    return values
+
+
+# the manifest entries load_checkpoint rebuilds the discretization from
+_MANIFEST_KEYS = ("mesh", "degree_l", "k", "N_slabs", "time_quad_points", "partition", "n_free")
 
 
 def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
@@ -367,6 +403,9 @@ def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
     with open(path) as fh:
         doc = json.load(fh)
     man = doc["manifest"]
+    missing = [key for key in _MANIFEST_KEYS if key not in man]
+    if missing:
+        raise ValueError(f"checkpoint manifest is missing {', '.join(map(repr, missing))}")
     mesh_desc = man["mesh"]
     if mesh_desc["dimension"] == 1:
         mesh = build_interval_mesh(mesh_desc["n"])

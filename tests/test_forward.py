@@ -1,5 +1,6 @@
 """The forward slab solver: projections, slab systems, marching, checkpoints."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from dgac import (
     TimePartition,
     build_interval_mesh,
     build_space,
+    factorize,
     l2_project,
     load_checkpoint,
     make_problem,
@@ -92,7 +94,7 @@ def test_zero_slab_is_a_fixed_point():
                          np.zeros(nf), None)
     zero = np.zeros((2, nf))
     np.testing.assert_array_equal(system.residual(zero), np.zeros((2, nf)))
-    U, its = solve_slab(system, zero, NewtonConfig(), LIN)
+    U, its, _ = solve_slab(system, zero, NewtonConfig(), LIN)
     assert its == 0
     assert np.all(U == 0.0)
 
@@ -127,7 +129,7 @@ def test_slab_marching_reproduces_trial_space_solution(k):
             for t in tq])
         system = _SlabSystem(ops, basis, time_ops, tau, eps, u_prev, floads)
         guess = np.tile(u_prev, (k + 1, 1))
-        U, _ = solve_slab(system, guess, TIGHT, LIN)
+        U, _, _ = solve_slab(system, guess, TIGHT, LIN)
         expected = np.outer(g(t0 + tau * basis.nodes), phi)
         assert np.max(np.abs(U - expected)) <= 1e-9
         u_prev = basis.right_values @ U
@@ -227,6 +229,79 @@ def test_newton_failure_carries_history_and_slab_context():
 
 
 # ---------------------------------------------------------------------------
+# simplified Newton: one factorization reused across steps and slabs
+
+
+EXACT = NewtonConfig(abs_tol=1e-15, rel_tol=1e-15)
+NON_UNIFORM = np.array([0.0, 0.04, 0.15, 0.2, 0.37, 0.5])
+
+
+def _max_relative_gap(a, b):
+    """Largest coefficient difference of two solutions, relative per slab."""
+    return max(np.max(np.abs(sa.coeffs - sb.coeffs)) / np.max(np.abs(sb.coeffs))
+               for sa, sb in zip(a.slabs, b.slabs))
+
+
+@pytest.mark.parametrize("case", [
+    *(dict(k=k) for k in range(4)),
+    *(dict(k=k, epsilon=0.25, T=0.1, initial_profile="interface") for k in range(4)),
+    *(dict(dimension=2, n=4, N=4, T=0.5, l=2, k=k) for k in (1, 2)),
+    dict(T=0.5, k=2, partition=NON_UNIFORM),
+    dict(dimension=2, n=3, T=0.5, l=2, k=2, partition=NON_UNIFORM),
+], ids=[*(f"1d-k{k}" for k in range(4)), *(f"1d-interface-k{k}" for k in range(4)),
+        "2d-P2-k1", "2d-P2-k2", "1d-non-uniform", "2d-non-uniform"])
+def test_default_tolerance_lands_on_the_discrete_solution(case):
+    # the finishing steps are full Newton steps, so stopping at the default
+    # tolerance leaves the coefficients where a solve to 1e-15 puts them.
+    # (1e-15 is at the round-off floor of the 1d P2 slab residuals, so the
+    # 1d cases are P1.)
+    case = dict(case)
+    points = case.pop("partition", None)
+    run = make_run(**case)
+    if points is not None:
+        run = dataclasses.replace(run, partition=TimePartition(points))
+    default = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    exact = solve_forward(run.problem, run.ops, run.partition, run.basis, newton_cfg=EXACT)
+    assert _max_relative_gap(default, exact) <= 1e-12
+
+
+@pytest.mark.parametrize("poor_at", ["zero-state", "negated"])
+def test_poor_factorization_is_refreshed(poor_at):
+    # large data: the Jacobian at U = 0 misses the reaction 3u^2/eps^2, so
+    # its step contracts too little; the negated Jacobian steps uphill, so
+    # its line search stalls
+    run = make_run(n=16, N=2, k=2, epsilon=0.25)
+    time_ops = DgTimeOperators.from_basis(run.basis)
+    prev = run.space.interpolate(lambda x: 3.0 * np.sin(np.pi * x[..., 0]))
+    system = _SlabSystem(run.ops, run.basis, time_ops, 0.25, 0.25, prev, None)
+    guess = np.tile(prev, (3, 1))
+    if poor_at == "zero-state":
+        poor = factorize(system.jacobian(np.zeros_like(guess)), LIN)
+    else:
+        poor = factorize(-system.jacobian(guess), LIN)
+    U, _, used = solve_slab(system, guess, NewtonConfig(), LIN, factorization=poor)
+    want, _, _ = solve_slab(system, guess, NewtonConfig(), LIN)
+    assert used is not poor
+    assert np.max(np.abs(U - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_certify_slabs_share_factorizations(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return factorize(*args, **kwargs)
+
+    monkeypatch.setattr("dgac.forward.factorize", counting)
+    run = make_run(dimension=2, n=16, N=8, T=1.0, k=1, l=2, epsilon=0.5,
+                   manufactured="expsine2d")
+    sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    assert len(sol.slabs) == 8
+    # full Newton factors once per step: 24 for these 8 slabs
+    assert 1 <= len(calls) <= 9
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 
@@ -294,6 +369,14 @@ def _text_in_initial(doc):
     doc["initial"][3] = "x"
 
 
+def _null_in_coeffs(doc):
+    doc["slabs"][1]["coeffs"][0][2] = None
+
+
+def _infinity_in_coeffs(doc):
+    doc["slabs"][1]["coeffs"][1][2] = float("inf")
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_truncate_slabs, "holds 2 slabs .* N_slabs = 8"),
     (_cut_coeffs, r"slab 2: .* shapes \(1, 15\)/\(15,\), expected \(2, 15\)/\(15,\)"),
@@ -304,8 +387,11 @@ def _text_in_initial(doc):
     (_drop_coeffs, "slab 2: missing field 'coeffs'"),
     (_text_in_coeffs, "slab 2: field 'coeffs' is not a numeric array"),
     (_text_in_initial, "checkpoint: field 'initial' is not a numeric array"),
+    (_null_in_coeffs, "slab 2: field 'coeffs' holds non-finite values"),
+    (_infinity_in_coeffs, "slab 2: field 'coeffs' holds non-finite values"),
 ], ids=["slab-count", "coeffs-shape", "left-incoming-shape", "initial-shape", "interval",
-        "coeffs-ragged", "coeffs-missing", "coeffs-text", "initial-text"])
+        "coeffs-ragged", "coeffs-missing", "coeffs-text", "initial-text", "coeffs-null",
+        "coeffs-infinity"])
 def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt, match):
     run, sol = solved_default
     path = tmp_path / "state.json"
@@ -314,4 +400,16 @@ def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt
     corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        load_checkpoint(str(path))
+
+
+@pytest.mark.parametrize("key", ["k", "mesh", "n_free"])
+def test_checkpoint_rejects_missing_manifest_key(tmp_path, solved_default, key):
+    run, sol = solved_default
+    path = tmp_path / "state.json"
+    save_checkpoint(sol, str(path), problem=run.problem)
+    doc = json.loads(path.read_text())
+    del doc["manifest"][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"checkpoint manifest is missing '{key}'"):
         load_checkpoint(str(path))
