@@ -47,7 +47,6 @@ from .forward import (
 )
 from .companions import (
     IdentityReport,
-    BackwardSolution,
     solve_backward_dual,
     duality_identity_report,
     dual_stability_report,
@@ -90,7 +89,7 @@ __all__ = [
     "InitialProfile", "ProblemSpec", "MANUFACTURED", "PROFILES",
     "make_problem", "NewtonConfig", "NewtonError", "SlabSolution",
     "DgSolution", "l2_project", "solve_slab", "solve_forward",
-    "save_checkpoint", "load_checkpoint", "IdentityReport", "BackwardSolution",
+    "save_checkpoint", "load_checkpoint", "IdentityReport",
     "solve_backward_dual", "duality_identity_report", "dual_stability_report",
     "solve_backward_psi", "psi_chain_report", "laplacian_consistency_residual",
     "solve_parabolic_projection", "local_projection_slab", "local_projection",

@@ -154,10 +154,10 @@ def characteristic_transfer_matrix(basis: TimeBasis, t_hat: float) -> np.ndarray
     return (V.astype(np.longdouble) @ tilde_mono).astype(float)
 
 
-def characteristic_apply(slab_coeffs: np.ndarray, basis: TimeBasis, t_hat: float) -> np.ndarray:
+def characteristic_apply(coeffs: np.ndarray, basis: TimeBasis, t_hat: float) -> np.ndarray:
     """Apply the characteristic truncation to slab coefficients (k+1, m)."""
     T = characteristic_transfer_matrix(basis, t_hat)
-    return T @ np.asarray(slab_coeffs, dtype=float)
+    return T @ np.asarray(coeffs, dtype=float)
 
 
 def sup_norm_scan(k: int, n_cuts: int = 101, n_samples: int = 2001) -> dict:

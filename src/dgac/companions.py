@@ -29,7 +29,6 @@ from .assembly import SpaceOperators, quadratic_forms
 from .forward import DgSolution, SlabSolution, forcing_loads, l2_project, time_moments
 from .linalg import LinearSolveConfig, factorize, solve_linear
 from .problems import ManufacturedSolution, ProblemSpec
-from .space import FeSpace
 from .timebase import DgTimeOperators, TimeBasis, TimePartition, make_time_basis
 
 
@@ -44,51 +43,6 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-@dataclass
-class BackwardSolution:
-    """Backward dG solution; slabs carry data right to left.
-
-    The terminal datum (identically zero) lives beyond the last partition
-    point; slab n receives the left trace of slab n+1 as its incoming
-    value.  For the linearized problem the per-node discrete Laplacian
-    d = M^{-1} A psi is stored alongside the coefficients.
-    """
-
-    partition: TimePartition
-    basis: TimeBasis
-    space: FeSpace
-    slab_coeffs: list[np.ndarray] = field(default_factory=list)
-    laplacian: list[np.ndarray] | None = None
-
-    @property
-    def k(self) -> int:
-        return self.basis.k
-
-    def coeffs(self, n: int) -> np.ndarray:
-        """Coefficients of slab n (1-based)."""
-        return self.slab_coeffs[n - 1]
-
-    def eval_slab(self, n: int, that_points) -> np.ndarray:
-        """Values at reference points of slab n, (n_points, n_free)."""
-        return self.basis.eval(that_points) @ self.coeffs(n)
-
-    def left_plus(self, n: int) -> np.ndarray:
-        """Trace at the left end of slab n; for n = 1 this is the t = 0 value."""
-        return self.basis.left_values @ self.coeffs(n)
-
-    def right_trace(self, n: int) -> np.ndarray:
-        """Trace at the right end of slab n; n = N+1 returns the terminal zero."""
-        if n == self.partition.n_slabs + 1:
-            return np.zeros(self.space.n_free)
-        return self.basis.right_values @ self.coeffs(n)
-
-    def incoming(self, n: int) -> np.ndarray:
-        """Terminal datum seen by slab n: left trace of slab n+1, zero for n = N."""
-        if n == self.partition.n_slabs:
-            return np.zeros(self.space.n_free)
-        return self.left_plus(n + 1)
-
-
 def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     """Frozen coefficient u at the slab's time quadrature points, (nq_t, ne, nq_x).
 
@@ -96,7 +50,7 @@ def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
     (evaluated from its stored coefficients, no re-interpolation) or a
     callable u(t, x).
     """
-    if hasattr(u_ref, "eval_slab"):
+    if isinstance(u_ref, DgSolution):
         return ops.eval_free(u_ref.eval_slab(n, basis.quad_points))
     return ops.time_fields(u_ref, t0 + tau * basis.quad_points)
 
@@ -106,7 +60,7 @@ def _data_moments(rhs, basis: TimeBasis, ops: SpaceOperators):
     of slab n, (k+1, n_free).  rhs is a slab polynomial on the same
     partition (paired through Theta) or a callable g(t, x) (loads at the
     time quadrature points)."""
-    if hasattr(rhs, "coeffs"):
+    if isinstance(rhs, DgSolution):
         M = ops.mass()
         Theta = DgTimeOperators.from_basis(basis).Theta
         return lambda n, t0, tau: tau * (Theta @ (M @ rhs.coeffs(n).T).T)
@@ -144,7 +98,7 @@ def _march_backward(
     u_source: DgSolution,
     ops: SpaceOperators,
     lin_cfg: LinearSolveConfig,
-) -> BackwardSolution:
+) -> DgSolution:
     """Shared right-to-left sweep over the terms of _dual_terms/_psi_terms.
 
     Slab n solves the transposed slab operator with G^T and the frozen
@@ -155,8 +109,7 @@ def _march_backward(
     time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
     pts = partition.points
-    out = BackwardSolution(partition=partition, basis=basis, space=ops.space,
-                           slab_coeffs=[None] * partition.n_slabs)
+    slabs = [None] * partition.n_slabs
     incoming = np.zeros(ops.space.n_free)
     for n in range(partition.n_slabs, 0, -1):
         t0 = pts[n - 1]
@@ -164,9 +117,10 @@ def _march_backward(
         K = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, tau, reaction(n, t0, tau))
         rhs = np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)
         coeffs = solve_linear(K, rhs.ravel(), lin_cfg).reshape(basis.k + 1, -1)
-        out.slab_coeffs[n - 1] = coeffs
+        slabs[n - 1] = SlabSolution(coeffs)
         incoming = basis.left_values @ coeffs
-    return out
+    return DgSolution(partition=partition, basis=basis, space=ops.space, initial=None,
+                      slabs=slabs)
 
 
 def solve_backward_dual(
@@ -174,8 +128,11 @@ def solve_backward_dual(
     problem: ProblemSpec,
     ops: SpaceOperators | None = None,
     lin_cfg: LinearSolveConfig | None = None,
-) -> BackwardSolution:
+) -> DgSolution:
     """Backward dual solve with frozen reaction (u_h^2 + 1)/eps^2 and data u_h.
+
+    Returns phi_h as a DgSolution on the partition of u_h with initial None;
+    its left_plus(N + 1) is the terminal zero.
 
     Slab n solves the transposed system
 
@@ -200,24 +157,25 @@ def solve_backward_psi(
     u_shape: DgSolution | None = None,
     ops: SpaceOperators | None = None,
     lin_cfg: LinearSolveConfig | None = None,
-) -> BackwardSolution:
+) -> DgSolution:
     """Backward linearized solve with reaction (3 u_ref^2 - 1)/eps^2.
 
-    rhs supplies the data term: either an object with per-slab
-    coefficients on the same partition (its L2 pairing enters through
-    Theta) or a callable g(t, x) integrated by the time quadrature.
-    u_ref supplies the frozen coefficient (callable or slab solution);
-    u_shape fixes partition/basis/space when rhs has no .coeffs (defaults
-    to rhs itself, or to u_ref when that is a slab solution).
+    rhs supplies the data term: either a DgSolution on the same partition
+    (its L2 pairing enters through Theta) or a callable g(t, x) integrated
+    by the time quadrature.  u_ref supplies the frozen coefficient
+    (callable or DgSolution); u_shape fixes partition/basis/space when rhs
+    is a callable (defaults to rhs itself, or to u_ref when that is a
+    DgSolution).
 
-    The discrete Laplacian d_j = M^{-1} A psi_j is solved per time node
-    and stored, so (d(t), w) = a(psi(t), w) holds for all discrete w at
-    every time in the slab.
+    Returns psi as a DgSolution with initial None; its left_plus(N + 1) is
+    the terminal zero.  The discrete Laplacian d_j = M^{-1} A psi_j is
+    solved per time node and stored as its laplacian, so (d(t), w) =
+    a(psi(t), w) holds for all discrete w at every time in the slab.
     """
     shape = u_shape
     if shape is None:
-        shape = rhs if hasattr(rhs, "eval_slab") else u_ref
-    if not hasattr(shape, "eval_slab"):
+        shape = rhs if isinstance(rhs, DgSolution) else u_ref
+    if not isinstance(shape, DgSolution):
         raise ValueError("need a slab-polynomial object to fix the discretization")
     ops = ops or SpaceOperators(shape.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
@@ -226,7 +184,7 @@ def solve_backward_psi(
     A = ops.stiffness()
     mass_solve = ops.mass_solver(lin_cfg)
     out.laplacian = [
-        np.stack([mass_solve(A @ row) for row in coeffs]) for coeffs in out.slab_coeffs
+        np.stack([mass_solve(A @ row) for row in slab.coeffs]) for slab in out.slabs
     ]
     return out
 
@@ -237,7 +195,7 @@ def solve_backward_psi(
 
 def duality_identity_report(
     u_h: DgSolution,
-    phi: BackwardSolution,
+    phi: DgSolution,
     problem: ProblemSpec,
     ops: SpaceOperators | None = None,
 ) -> IdentityReport:
@@ -326,7 +284,7 @@ def slab_balances(sol, ends, reaction, data, ops: SpaceOperators):
 
 def dual_stability_report(
     u_h: DgSolution,
-    phi: BackwardSolution,
+    phi: DgSolution,
     problem: ProblemSpec,
     ops: SpaceOperators | None = None,
 ) -> IdentityReport:
@@ -348,7 +306,7 @@ def dual_stability_report(
     w = basis.quad_weights
     M = ops.mass()
     lhs_n, rhs_n, res_n, forms = slab_balances(
-        phi, lambda n: (phi.left_plus(n), phi.right_trace(n), phi.incoming(n)),
+        phi, lambda n: (phi.left_plus(n), phi.right_trace(n), phi.left_plus(n + 1)),
         *_dual_terms(u_h, problem, ops), ops)
 
     # Young form from the same slab forms: the boundary terms of the slab
@@ -375,7 +333,7 @@ def dual_stability_report(
 
 
 def psi_chain_report(
-    psi: BackwardSolution,
+    psi: DgSolution,
     u_ref,
     rhs,
     problem: ProblemSpec,
@@ -397,7 +355,7 @@ def psi_chain_report(
     ops = ops or SpaceOperators(psi.space)
     basis = psi.basis
     lhs_n, rhs_n, res_n, forms = slab_balances(
-        psi, lambda n: (psi.left_plus(n), psi.right_trace(n), psi.incoming(n)),
+        psi, lambda n: (psi.left_plus(n), psi.right_trace(n), psi.left_plus(n + 1)),
         *_psi_terms(u_ref, rhs, basis, problem, ops), ops)
     details = {"per_slab_residuals": [float(r) for r in res_n]}
     if spectral_floor is not None:
@@ -418,11 +376,11 @@ def psi_chain_report(
     )
 
 
-def laplacian_consistency_residual(psi: BackwardSolution, ops: SpaceOperators | None = None) -> float:
+def laplacian_consistency_residual(psi: DgSolution, ops: SpaceOperators | None = None) -> float:
     """Worst residual of (Delta_h psi, w) = a(psi, w) over nodes and slabs."""
     ops = ops or SpaceOperators(psi.space)
     lhs = ops.mass() @ np.concatenate(psi.laplacian).T
-    rhs = ops.stiffness() @ np.concatenate(psi.slab_coeffs).T
+    rhs = ops.stiffness() @ np.concatenate([slab.coeffs for slab in psi.slabs]).T
     return float(np.max(np.linalg.norm(lhs - rhs, axis=0) / (np.linalg.norm(rhs, axis=0) + 1.0)))
 
 
@@ -468,8 +426,7 @@ def solve_parabolic_projection(
         rhs = np.outer(time_ops.left_load, M @ p_prev)
         rhs += time_moments(basis, tau, loads)
         coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
-        sol.slabs.append(SlabSolution(index=n, t_start=float(t0), t_end=float(pts[n]),
-                                      coeffs=coeffs, left_incoming=p_prev))
+        sol.slabs.append(SlabSolution(coeffs))
         p_prev = basis.right_values @ coeffs
     return sol
 
@@ -519,7 +476,5 @@ def local_projection(
     pts = partition.points
     for n in range(1, partition.n_slabs + 1):
         coeffs = local_projection_slab(w, pts[n - 1], pts[n], ops, basis, lin_cfg)
-        sol.slabs.append(SlabSolution(index=n, t_start=float(pts[n - 1]),
-                                      t_end=float(pts[n]), coeffs=coeffs,
-                                      left_incoming=sol.right_trace(n - 1)))
+        sol.slabs.append(SlabSolution(coeffs))
     return sol

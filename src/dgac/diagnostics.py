@@ -342,7 +342,7 @@ def spectrum_along_solution(
     inv_eps2 = 1.0 / epsilon**2
     values, residuals, dense_flags = [], [], []
     for t in times:
-        if hasattr(u_source, "eval_time"):
+        if isinstance(u_source, DgSolution):
             field_vals = ops.eval_free(u_source.eval_time(float(t)))
         else:
             field_vals = ops.evaluate_function(lambda x: u_source(float(t), x))

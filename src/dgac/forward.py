@@ -112,22 +112,26 @@ def forcing_loads(problem: ProblemSpec, ops: SpaceOperators):
 class SlabSolution:
     """Solution polynomial on one slab, nodal-in-time coefficients."""
 
-    index: int                 # 1-based slab number
-    t_start: float
-    t_end: float
     coeffs: np.ndarray         # (k+1, n_free)
-    left_incoming: np.ndarray  # trace handed over from slab index-1
 
 
 @dataclass
 class DgSolution:
-    """Space-time dG solution: per-slab coefficients plus the projected data."""
+    """Space-time dG function: one polynomial in time per slab of a partition.
+
+    Serves the forward solution, the projections and both backward
+    problems.  initial is u^0 = P_h u_0 on the free dofs, None for the
+    backward problems (whose terminal datum is zero).  laplacian holds the
+    per-slab nodal discrete Laplacian M^{-1} A psi of the linearized
+    backward solution, None otherwise.
+    """
 
     partition: TimePartition
     basis: TimeBasis
     space: FeSpace
-    initial: np.ndarray        # u^0 = P_h u_0 on free dofs
+    initial: np.ndarray | None
     slabs: list[SlabSolution] = field(default_factory=list)
+    laplacian: list[np.ndarray] | None = None
 
     @property
     def k(self) -> int:
@@ -142,13 +146,18 @@ class DgSolution:
         return self.basis.eval(that_points) @ self.coeffs(n)
 
     def right_trace(self, n: int) -> np.ndarray:
-        """u(t_n^-); n = 0 returns the projected initial data."""
+        """u(t_n^-); n = 0 returns the initial data, a ValueError when there is
+        none (backward problems)."""
         if n == 0:
+            if self.initial is None:
+                raise ValueError("a backward solution has no trace at t_0^-")
             return self.initial
         return self.basis.right_values @ self.coeffs(n)
 
     def left_plus(self, n: int) -> np.ndarray:
-        """u(t_{n-1}^+), the left trace of slab n."""
+        """u(t_{n-1}^+), the left trace of slab n; n = N+1 returns the terminal zero."""
+        if n == self.partition.n_slabs + 1:
+            return np.zeros(self.space.n_free)
         return self.basis.left_values @ self.coeffs(n)
 
     def jump(self, i: int) -> np.ndarray:
@@ -156,12 +165,14 @@ class DgSolution:
         return self.left_plus(i + 1) - self.right_trace(i)
 
     def eval_time(self, t: float) -> np.ndarray:
-        """Left-continuous evaluation at physical time t in [0, T]."""
+        """Left-continuous evaluation at physical time t in [t_0, T]; ValueError
+        for any other t, NaN included."""
         pts = self.partition.points
-        if t <= pts[0]:
-            return self.initial.copy()
+        if not pts[0] <= t <= pts[-1]:
+            raise ValueError(f"time {t} is outside the partition [{pts[0]}, {pts[-1]}]")
+        if t == pts[0]:
+            return self.right_trace(0).copy()
         n = int(np.searchsorted(pts, t, side="left"))  # slab with t in (t_{n-1}, t_n]
-        n = min(n, self.partition.n_slabs)
         that = (t - pts[n - 1]) / (pts[n] - pts[n - 1])
         return self.eval_slab(n, np.array([that]))[0]
 
@@ -307,9 +318,7 @@ def solve_forward(
         U, _, solve = solve_slab(system, guess, newton_cfg, lin_cfg,
                                  context=f"forward solve failed on slab {n}",
                                  factorization=solve)
-        sol.slabs.append(
-            SlabSolution(index=n, t_start=float(t0), t_end=float(t1), coeffs=U, left_incoming=u_prev)
-        )
+        sol.slabs.append(SlabSolution(U))
         u_prev = basis.right_values @ U
     return sol
 
@@ -342,7 +351,8 @@ def problem_fingerprint(problem: ProblemSpec, space: FeSpace, partition: TimePar
 
 
 def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = None) -> dict:
-    """Write per-slab coefficients plus a manifest sufficient to reload.
+    """Write a manifest sufficient to reload, the initial data and the
+    coefficients of all slabs as one (N, k+1, n_free) array.
 
     Floats serialize via repr (shortest round-trip), so loading restores
     bit-identical coefficients.
@@ -363,16 +373,7 @@ def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = No
     doc = {
         "manifest": manifest,
         "initial": sol.initial.tolist(),
-        "slabs": [
-            {
-                "index": s.index,
-                "t_start": s.t_start,
-                "t_end": s.t_end,
-                "coeffs": s.coeffs.tolist(),
-                "left_incoming": s.left_incoming.tolist(),
-            }
-            for s in sol.slabs
-        ],
+        "coeffs": [s.coeffs.tolist() for s in sol.slabs],
     }
     with open(path, "w") as fh:
         fh.write(json.dumps(doc))  # dumps takes the C encoder; dump streams through Python
@@ -394,60 +395,65 @@ def _checkpoint_array(record: dict, key: str, where: str) -> np.ndarray:
     return values
 
 
+def _checkpoint_int(record: dict, key: str, where: str) -> int:
+    """Entry key of a checkpoint record as an int; a missing entry or any
+    other type (bool, float, text) raises a ValueError naming the entry."""
+    if key not in record:
+        raise ValueError(f"{where} is missing {key!r}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{where}: {key!r} must be an integer, got {value!r}")
+    return value
+
+
 # the manifest entries load_checkpoint rebuilds the discretization from
 _MANIFEST_KEYS = ("mesh", "degree_l", "k", "N_slabs", "time_quad_points", "partition", "n_free")
+_MESH_SIZE_KEYS = {1: "n", 2: "n_per_side"}
 
 
 def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
-    """Rebuild a DgSolution (and its manifest) from a checkpoint file."""
+    """Rebuild a DgSolution (and its manifest) from a checkpoint file.
+
+    Every fault of the manifest, the initial data or the (N, k+1, n_free)
+    coefficient array raises a ValueError naming the field.  Files of the
+    earlier per-slab format have no 'coeffs' field and are rejected.
+    """
     with open(path) as fh:
         doc = json.load(fh)
-    man = doc["manifest"]
+    man = doc.get("manifest") if isinstance(doc, dict) else None
+    if not isinstance(man, dict):
+        raise ValueError("checkpoint: missing field 'manifest' (or it is not an object)")
     missing = [key for key in _MANIFEST_KEYS if key not in man]
     if missing:
         raise ValueError(f"checkpoint manifest is missing {', '.join(map(repr, missing))}")
+    where = "checkpoint manifest"
     mesh_desc = man["mesh"]
-    if mesh_desc["dimension"] == 1:
-        mesh = build_interval_mesh(mesh_desc["n"])
-    else:
-        mesh = build_square_mesh(mesh_desc["n_per_side"])
-    space = build_space(mesh, man["degree_l"])
-    if space.n_free != man["n_free"]:
-        raise ValueError(
-            f"checkpoint dof count {man['n_free']} does not match rebuilt space {space.n_free}"
-        )
-    basis = make_time_basis(man["k"], man["time_quad_points"])
-    partition = TimePartition(np.asarray(man["partition"]))
-    if not len(doc["slabs"]) == partition.n_slabs == man["N_slabs"]:
-        raise ValueError(
-            f"checkpoint holds {len(doc['slabs'])} slabs and a partition of "
-            f"{partition.n_slabs}, but its manifest says N_slabs = {man['N_slabs']}"
-        )
-    shape = (basis.k + 1, space.n_free)
+    if not isinstance(mesh_desc, dict):
+        raise ValueError(f"{where}: 'mesh' must be an object, got {mesh_desc!r}")
+    dimension = _checkpoint_int(mesh_desc, "dimension", f"{where} mesh")
+    if dimension not in _MESH_SIZE_KEYS:
+        raise ValueError(f"{where} mesh: 'dimension' must be 1 or 2, got {dimension}")
+    size = _checkpoint_int(mesh_desc, _MESH_SIZE_KEYS[dimension], f"{where} mesh")
+    mesh = build_interval_mesh(size) if dimension == 1 else build_square_mesh(size)
+    space = build_space(mesh, _checkpoint_int(man, "degree_l", where))
+    n_free = _checkpoint_int(man, "n_free", where)
+    if space.n_free != n_free:
+        raise ValueError(f"checkpoint dof count {n_free} does not match rebuilt space {space.n_free}")
+    basis = make_time_basis(_checkpoint_int(man, "k", where),
+                            _checkpoint_int(man, "time_quad_points", where))
+    partition = TimePartition(_checkpoint_array(man, "partition", where))
+    n_slabs = _checkpoint_int(man, "N_slabs", where)
+    if partition.n_slabs != n_slabs:
+        raise ValueError(f"checkpoint partition has {partition.n_slabs} slabs, "
+                         f"but its manifest says N_slabs = {n_slabs}")
+    shape = (n_slabs, basis.k + 1, space.n_free)
     initial = _checkpoint_array(doc, "initial", "checkpoint")
-    if initial.shape != shape[1:]:
+    if initial.shape != shape[2:]:
         raise ValueError(f"checkpoint initial data has shape {initial.shape}, "
-                         f"expected {shape[1:]}")
-    sol = DgSolution(partition=partition, basis=basis, space=space, initial=initial)
-    pts = partition.points
-    for n, s in enumerate(doc["slabs"], start=1):
-        coeffs, left = (_checkpoint_array(s, key, f"checkpoint slab {n}")
-                        for key in ("coeffs", "left_incoming"))
-        if coeffs.shape != shape or left.shape != shape[1:]:
-            raise ValueError(f"checkpoint slab {n}: coeffs/left_incoming have shapes "
-                             f"{coeffs.shape}/{left.shape}, expected {shape}/{shape[1:]}")
-        interval = (float(s["t_start"]), float(s["t_end"]))
-        expected = (float(pts[n - 1]), float(pts[n]))
-        if interval != expected:
-            raise ValueError(f"checkpoint slab {n}: interval {interval} does not match "
-                             f"the partition's {expected}")
-        sol.slabs.append(
-            SlabSolution(
-                index=int(s["index"]),
-                t_start=interval[0],
-                t_end=interval[1],
-                coeffs=coeffs,
-                left_incoming=left,
-            )
-        )
-    return sol, man
+                         f"expected {shape[2:]}")
+    coeffs = _checkpoint_array(doc, "coeffs", "checkpoint")
+    if coeffs.shape != shape:
+        raise ValueError(f"checkpoint coeffs have shape {coeffs.shape}, expected {shape}")
+    slabs = [SlabSolution(c) for c in coeffs]
+    return DgSolution(partition=partition, basis=basis, space=space, initial=initial,
+                      slabs=slabs), man

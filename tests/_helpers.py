@@ -372,20 +372,14 @@ def lagrange_time_matrices(k: int):
 
 
 def random_dg_solution(run: Run, rng: np.random.Generator, scale: float = 1.0) -> DgSolution:
-    """A DgSolution with random coefficients and consistent incoming traces."""
+    """A DgSolution with random initial data and random coefficients."""
     nf = run.space.n_free
     k = run.basis.k
     initial = scale * rng.standard_normal(nf)
     sol = DgSolution(partition=run.partition, basis=run.basis,
                      space=run.space, initial=initial)
-    prev = initial
-    pts = run.partition.points
-    for i in range(run.partition.n_slabs):
-        coeffs = scale * rng.standard_normal((k + 1, nf))
-        sol.slabs.append(SlabSolution(index=i + 1, t_start=float(pts[i]),
-                                      t_end=float(pts[i + 1]), coeffs=coeffs,
-                                      left_incoming=prev))
-        prev = run.basis.right_values @ coeffs
+    for _ in range(run.partition.n_slabs):
+        sol.slabs.append(SlabSolution(scale * rng.standard_normal((k + 1, nf))))
     return sol
 
 

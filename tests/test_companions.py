@@ -52,12 +52,9 @@ def _poly_rhs(run, seed, scale=1.0):
     rng = np.random.default_rng(seed)
     sol = DgSolution(partition=run.partition, basis=run.basis, space=run.space,
                      initial=np.zeros(run.space.n_free))
-    pts = run.partition.points
-    for n in range(1, run.partition.n_slabs + 1):
+    for _ in range(run.partition.n_slabs):
         coeffs = scale * rng.standard_normal((run.basis.k + 1, run.space.n_free))
-        sol.slabs.append(SlabSolution(index=n, t_start=float(pts[n - 1]),
-                                      t_end=float(pts[n]), coeffs=coeffs,
-                                      left_incoming=sol.right_trace(n - 1)))
+        sol.slabs.append(SlabSolution(coeffs))
     return sol
 
 
@@ -151,6 +148,19 @@ def test_dual_stability_balance(solved_default):
     assert rep.details["young_rhs"] >= rep.details["young_lhs"] - 1e-12
 
 
+def test_backward_solution_traces(solved_default):
+    # a backward solution ends in the terminal zero and has no datum before t_0
+    run, sol = solved_default
+    phi = solve_backward_dual(sol, run.problem, run.ops)
+    N = run.partition.n_slabs
+    assert phi.initial is None
+    assert np.array_equal(phi.left_plus(N + 1), np.zeros(run.space.n_free))
+    assert np.array_equal(phi.eval_time(run.partition.T), phi.right_trace(N))
+    for probe in (lambda: phi.eval_time(0.0), lambda: phi.jump(0)):
+        with pytest.raises(ValueError, match="no trace at t_0"):
+            probe()
+
+
 # ---------------------------------------------------------------------------
 # every slab balance on a non-uniform partition
 
@@ -189,7 +199,7 @@ def test_psi_zero_rhs_is_zero(solved_default):
     run, sol = solved_default
     psi = solve_backward_psi(lambda t, x: np.zeros(x.shape[:-1]), sol,
                              run.problem, ops=run.ops)
-    for coeffs, lap in zip(psi.slab_coeffs, psi.laplacian):
+    for coeffs, lap in zip((s.coeffs for s in psi.slabs), psi.laplacian):
         assert np.all(coeffs == 0.0)
         assert np.all(lap == 0.0)
 
@@ -269,7 +279,7 @@ def test_psi_epsilon_scaling_bound(eps):
     g_sq = 0.0
     for n in range(1, run.partition.n_slabs + 1):
         tau = pts[n] - pts[n - 1]
-        jump = psi.right_trace(n) - psi.incoming(n)
+        jump = psi.right_trace(n) - psi.left_plus(n + 1)
         lhs += 0.5 * float(jump @ (M @ jump))
         pq = psi.eval_slab(n, basis.quad_points)
         gq = g.eval_slab(n, basis.quad_points)

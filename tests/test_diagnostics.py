@@ -45,12 +45,8 @@ def _small_run(k, n=16, N=8, T=1.0):
 def _constant_in_time(run, v_free):
     sol = DgSolution(partition=run.partition, basis=run.basis, space=run.space,
                      initial=v_free.copy())
-    pts = run.partition.points
-    for n in range(1, run.partition.n_slabs + 1):
-        coeffs = np.tile(v_free, (run.basis.k + 1, 1))
-        sol.slabs.append(SlabSolution(index=n, t_start=float(pts[n - 1]),
-                                      t_end=float(pts[n]), coeffs=coeffs,
-                                      left_incoming=v_free.copy()))
+    for _ in range(run.partition.n_slabs):
+        sol.slabs.append(SlabSolution(np.tile(v_free, (run.basis.k + 1, 1))))
     return sol
 
 

@@ -312,14 +312,30 @@ def test_checkpoint_roundtrip(tmp_path, solved_default):
     assert manifest["N_slabs"] == 8
     assert manifest["mesh"] == {"dimension": 1, "n": 16}
     assert manifest["problem"] == "expsine"
+    assert set(json.loads(path.read_text())) == {"manifest", "initial", "coeffs"}
 
     back, loaded = load_checkpoint(str(path))
     assert np.array_equal(back.initial, sol.initial)
     assert len(back.slabs) == len(sol.slabs)
     for sa, sb in zip(back.slabs, sol.slabs):
         assert np.array_equal(sa.coeffs, sb.coeffs)
-        assert sa.t_start == sb.t_start and sa.t_end == sb.t_end
+    assert np.array_equal(back.partition.points, sol.partition.points)
     assert loaded["problem_hash"] == manifest["problem_hash"]
+
+
+def test_checkpoint_roundtrip_2d_non_uniform(tmp_path):
+    run = make_run(dimension=2, n=4, T=0.5, l=2, k=2)
+    run = dataclasses.replace(run, partition=TimePartition(NON_UNIFORM))
+    sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    path = tmp_path / "state.json"
+    save_checkpoint(sol, str(path), problem=run.problem)
+    back, _ = load_checkpoint(str(path))
+    assert np.array_equal(back.partition.points, NON_UNIFORM)
+    assert np.array_equal(back.initial, sol.initial)
+    assert len(back.slabs) == 5
+    for sa, sb in zip(back.slabs, sol.slabs):
+        assert sa.coeffs.shape == (3, run.space.n_free)
+        assert np.array_equal(sa.coeffs, sb.coeffs)
 
 
 def test_checkpoint_rejects_mismatched_mesh(tmp_path, solved_default):
@@ -334,35 +350,32 @@ def test_checkpoint_rejects_mismatched_mesh(tmp_path, solved_default):
 
 
 def _truncate_slabs(doc):
-    doc["slabs"] = doc["slabs"][:2]
+    doc["coeffs"] = doc["coeffs"][:2]
 
 
 def _cut_coeffs(doc):
-    doc["slabs"][1]["coeffs"] = doc["slabs"][1]["coeffs"][:1]
-
-
-def _cut_left_incoming(doc):
-    doc["slabs"][3]["left_incoming"] = doc["slabs"][3]["left_incoming"][:7]
+    doc["coeffs"] = [c[:1] for c in doc["coeffs"]]
 
 
 def _cut_initial(doc):
     doc["initial"] = doc["initial"][:2]
 
 
-def _shift_interval(doc):
-    doc["slabs"][2]["t_end"] += 1e-3
+def _drop_partition_point(doc):
+    # the slab intervals come from the manifest partition alone
+    del doc["manifest"]["partition"][3]
 
 
 def _ragged_coeffs(doc):
-    doc["slabs"][1]["coeffs"][0] = doc["slabs"][1]["coeffs"][0][:3]
+    doc["coeffs"][1][0] = doc["coeffs"][1][0][:3]
 
 
 def _drop_coeffs(doc):
-    del doc["slabs"][1]["coeffs"]
+    del doc["coeffs"]
 
 
 def _text_in_coeffs(doc):
-    doc["slabs"][1]["coeffs"][1][4] = "x"
+    doc["coeffs"][1][1][4] = "x"
 
 
 def _text_in_initial(doc):
@@ -370,28 +383,58 @@ def _text_in_initial(doc):
 
 
 def _null_in_coeffs(doc):
-    doc["slabs"][1]["coeffs"][0][2] = None
+    doc["coeffs"][1][0][2] = None
 
 
 def _infinity_in_coeffs(doc):
-    doc["slabs"][1]["coeffs"][1][2] = float("inf")
+    doc["coeffs"][1][1][2] = float("inf")
+
+
+def _drop_manifest(doc):
+    del doc["manifest"]
+
+
+def _drop_mesh_dimension(doc):
+    del doc["manifest"]["mesh"]["dimension"]
+
+
+def _mesh_dimension_3(doc):
+    doc["manifest"]["mesh"]["dimension"] = 3
+
+
+def _fractional_k(doc):
+    doc["manifest"]["k"] = 1.5
+
+
+def _text_k(doc):
+    doc["manifest"]["k"] = "1"
+
+
+def _text_partition(doc):
+    doc["manifest"]["partition"] = ["0", "a", "1"]
 
 
 @pytest.mark.parametrize("corrupt, match", [
-    (_truncate_slabs, "holds 2 slabs .* N_slabs = 8"),
-    (_cut_coeffs, r"slab 2: .* shapes \(1, 15\)/\(15,\), expected \(2, 15\)/\(15,\)"),
-    (_cut_left_incoming, r"slab 4: .* shapes \(2, 15\)/\(7,\)"),
+    (_truncate_slabs, r"coeffs have shape \(2, 2, 15\), expected \(8, 2, 15\)"),
+    (_cut_coeffs, r"coeffs have shape \(8, 1, 15\), expected \(8, 2, 15\)"),
     (_cut_initial, r"initial data has shape \(2,\), expected \(15,\)"),
-    (_shift_interval, "slab 3: interval .* does not match the partition"),
-    (_ragged_coeffs, "slab 2: field 'coeffs' is not a numeric array"),
-    (_drop_coeffs, "slab 2: missing field 'coeffs'"),
-    (_text_in_coeffs, "slab 2: field 'coeffs' is not a numeric array"),
+    (_drop_partition_point, "partition has 7 slabs, but its manifest says N_slabs = 8"),
+    (_ragged_coeffs, "checkpoint: field 'coeffs' is not a numeric array"),
+    (_drop_coeffs, "checkpoint: missing field 'coeffs'"),
+    (_text_in_coeffs, "checkpoint: field 'coeffs' is not a numeric array"),
     (_text_in_initial, "checkpoint: field 'initial' is not a numeric array"),
-    (_null_in_coeffs, "slab 2: field 'coeffs' holds non-finite values"),
-    (_infinity_in_coeffs, "slab 2: field 'coeffs' holds non-finite values"),
-], ids=["slab-count", "coeffs-shape", "left-incoming-shape", "initial-shape", "interval",
-        "coeffs-ragged", "coeffs-missing", "coeffs-text", "initial-text", "coeffs-null",
-        "coeffs-infinity"])
+    (_null_in_coeffs, "checkpoint: field 'coeffs' holds non-finite values"),
+    (_infinity_in_coeffs, "checkpoint: field 'coeffs' holds non-finite values"),
+    (_drop_manifest, "checkpoint: missing field 'manifest'"),
+    (_drop_mesh_dimension, "checkpoint manifest mesh is missing 'dimension'"),
+    (_mesh_dimension_3, "checkpoint manifest mesh: 'dimension' must be 1 or 2, got 3"),
+    (_fractional_k, "checkpoint manifest: 'k' must be an integer, got 1.5"),
+    (_text_k, "checkpoint manifest: 'k' must be an integer, got '1'"),
+    (_text_partition, "checkpoint manifest: field 'partition' is not a numeric array"),
+], ids=["slab-count", "coeffs-shape", "initial-shape", "interval", "coeffs-ragged",
+        "coeffs-missing", "coeffs-text", "initial-text", "coeffs-null", "coeffs-infinity",
+        "manifest-missing", "mesh-dimension-missing", "mesh-dimension-3", "k-fractional",
+        "k-text", "partition-text"])
 def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt, match):
     run, sol = solved_default
     path = tmp_path / "state.json"
@@ -400,6 +443,22 @@ def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt
     corrupt(doc)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        load_checkpoint(str(path))
+
+
+def test_checkpoint_rejects_per_slab_format(tmp_path, solved_default):
+    # the earlier format: one record per slab with its interval and the
+    # incoming trace, and no top-level coeffs array
+    run, sol = solved_default
+    path = tmp_path / "state.json"
+    save_checkpoint(sol, str(path), problem=run.problem)
+    doc = json.loads(path.read_text())
+    pts = sol.partition.points
+    doc["slabs"] = [{"index": n, "t_start": float(pts[n - 1]), "t_end": float(pts[n]),
+                     "coeffs": coeffs, "left_incoming": sol.right_trace(n - 1).tolist()}
+                    for n, coeffs in enumerate(doc.pop("coeffs"), start=1)]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="checkpoint: missing field 'coeffs'"):
         load_checkpoint(str(path))
 
 
@@ -413,3 +472,27 @@ def test_checkpoint_rejects_missing_manifest_key(tmp_path, solved_default, key):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"checkpoint manifest is missing '{key}'"):
         load_checkpoint(str(path))
+
+
+# ---------------------------------------------------------------------------
+# evaluation in physical time
+
+
+@pytest.fixture(scope="module")
+def half_unit_solve():
+    run = make_run(n=8, N=4, T=0.5, k=1)
+    return run, solve_forward(run.problem, run.ops, run.partition, run.basis)
+
+
+def test_eval_time_is_left_continuous(half_unit_solve):
+    run, sol = half_unit_solve
+    assert np.array_equal(sol.eval_time(0.0), sol.initial)
+    for n, t in enumerate(run.partition.points[1:], start=1):
+        assert np.allclose(sol.eval_time(float(t)), sol.right_trace(n), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("t", [5.0, -1.0, float("nan")], ids=["after-T", "before-t0", "nan"])
+def test_eval_time_rejects_times_outside_the_partition(half_unit_solve, t):
+    _, sol = half_unit_solve
+    with pytest.raises(ValueError, match="outside the partition"):
+        sol.eval_time(t)
