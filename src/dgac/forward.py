@@ -355,8 +355,12 @@ def save_checkpoint(sol: DgSolution, path: str, problem: ProblemSpec | None = No
     coefficients of all slabs as one (N, k+1, n_free) array.
 
     Floats serialize via repr (shortest round-trip), so loading restores
-    bit-identical coefficients.
+    bit-identical coefficients.  A solution without initial data (a
+    backward problem) raises a ValueError and writes no file.
     """
+    if sol.initial is None:
+        raise ValueError("save_checkpoint needs 'initial' data; a backward "
+                         "solution has initial None")
     manifest = {
         "mesh": _mesh_descriptor(sol.space),
         "degree_l": sol.space.degree,

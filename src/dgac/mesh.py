@@ -98,29 +98,3 @@ def build_square_mesh(n_per_side: int) -> Mesh:
         mesh_size=float(np.sqrt(2.0) / n),
     )
 
-
-def element_edges(mesh: Mesh) -> tuple[dict[tuple[int, int], int], np.ndarray]:
-    """Enumerate undirected edges of a triangle mesh.
-
-    Returns
-    -------
-    edge_ids : dict
-        Maps the sorted vertex pair of each edge to a contiguous edge index.
-        Iteration order of elements fixes the numbering, so it is
-        deterministic for a given mesh.
-    edge_count : ndarray
-        Number of elements sharing each edge (1 on the boundary, 2 inside).
-    """
-    if mesh.dimension != 2:
-        raise ValueError("element_edges needs a triangle mesh")
-    edge_ids: dict[tuple[int, int], int] = {}
-    counts: list[int] = []
-    for tri in mesh.elements:
-        for va, vb in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (int(min(va, vb)), int(max(va, vb)))
-            if key not in edge_ids:
-                edge_ids[key] = len(counts)
-                counts.append(1)
-            else:
-                counts[edge_ids[key]] += 1
-    return edge_ids, np.asarray(counts, dtype=np.int64)

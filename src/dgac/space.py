@@ -1,7 +1,7 @@
 """Lagrange finite element spaces of degree 1 and 2 with Dirichlet handling.
 
-Degrees of freedom are nodal: vertices for P1, vertices plus element
-midpoints (1d) or edge midpoints (2d) for P2.  Homogeneous Dirichlet
+Degrees of freedom are nodal: vertices for P1, vertices plus edge
+midpoints for P2 (in 1d the edges are the cells).  Homogeneous Dirichlet
 conditions are imposed by symmetric elimination: operators and solution
 vectors live on the free dofs only.
 """
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import Mesh, element_edges
+from .mesh import Mesh
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +89,13 @@ def triangle_rule(exact_degree: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class ReferenceElement:
-    """Nodal basis on the reference interval [0,1] or unit triangle."""
+    """Nodal basis on the reference interval [0,1] or unit triangle, in the
+    barycentric coordinates lam = (1 - sum(x), x): P1 is lam; P2 is
+    lam_i (2 lam_i - 1) at the vertices, then 4 lam_i lam_j at the midpoints
+    of the local edges (i, j)."""
+
+    # local edges as vertex pairs, by dimension, in P2 node order
+    _EDGES = {1: ((0, 1),), 2: ((0, 1), (1, 2), (2, 0))}
 
     def __init__(self, dimension: int, degree: int):
         if degree not in (1, 2):
@@ -98,74 +104,41 @@ class ReferenceElement:
             raise ValueError(f"dimension must be 1 or 2, got {dimension}")
         self.dimension = dimension
         self.degree = degree
-        if dimension == 1:
-            self.nodes = {
-                1: np.array([[0.0], [1.0]]),
-                2: np.array([[0.0], [1.0], [0.5]]),
-            }[degree]
+        self.edges = self._EDGES[dimension]
+        self._i, self._j = np.array(self.edges).T
+        self._dlam = np.vstack([-np.ones(dimension), np.eye(dimension)])  # (dim+1, dim)
+        vertices = np.vstack([np.zeros(dimension), np.eye(dimension)])
+        if degree == 1:
+            self.nodes = vertices
         else:
-            self.nodes = {
-                1: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
-                2: np.array(
-                    [
-                        [0.0, 0.0],
-                        [1.0, 0.0],
-                        [0.0, 1.0],
-                        [0.5, 0.0],  # edge (0,1)
-                        [0.5, 0.5],  # edge (1,2)
-                        [0.0, 0.5],  # edge (2,0)
-                    ]
-                ),
-            }[degree]
+            self.nodes = np.vstack([vertices, 0.5 * (vertices[self._i] + vertices[self._j])])
 
     @property
     def n_dofs(self) -> int:
         return self.nodes.shape[0]
 
+    def _barycentric(self, points: np.ndarray) -> np.ndarray:
+        p = np.atleast_2d(points)
+        return np.column_stack([1.0 - p.sum(axis=1), p])
+
     def values(self, points: np.ndarray) -> np.ndarray:
         """Basis values, shape (n_points, n_dofs)."""
-        p = np.atleast_2d(points)
-        if self.dimension == 1:
-            x = p[:, 0]
-            if self.degree == 1:
-                cols = [1.0 - x, x]
-            else:
-                cols = [(1.0 - x) * (1.0 - 2.0 * x), x * (2.0 * x - 1.0), 4.0 * x * (1.0 - x)]
-        else:
-            lam = np.column_stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]])
-            if self.degree == 1:
-                cols = [lam[:, 0], lam[:, 1], lam[:, 2]]
-            else:
-                cols = [lam[:, i] * (2.0 * lam[:, i] - 1.0) for i in range(3)]
-                for i, j in ((0, 1), (1, 2), (2, 0)):
-                    cols.append(4.0 * lam[:, i] * lam[:, j])
-        return np.column_stack(cols)
+        lam = self._barycentric(points)
+        if self.degree == 1:
+            return lam
+        i, j = self._i, self._j
+        return np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
 
     def gradients(self, points: np.ndarray) -> np.ndarray:
         """Reference gradients, shape (n_points, n_dofs, dimension)."""
-        p = np.atleast_2d(points)
-        npts = p.shape[0]
-        out = np.empty((npts, self.n_dofs, self.dimension))
-        if self.dimension == 1:
-            x = p[:, 0]
-            if self.degree == 1:
-                out[:, 0, 0] = -1.0
-                out[:, 1, 0] = 1.0
-            else:
-                out[:, 0, 0] = 4.0 * x - 3.0
-                out[:, 1, 0] = 4.0 * x - 1.0
-                out[:, 2, 0] = 4.0 - 8.0 * x
-            return out
-        lam = np.column_stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]])
-        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        lam = self._barycentric(points)
+        dlam = self._dlam
         if self.degree == 1:
-            out[:] = dlam[None, :, :]
-            return out
-        for i in range(3):
-            out[:, i, :] = (4.0 * lam[:, i] - 1.0)[:, None] * dlam[i]
-        for a, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-            out[:, 3 + a, :] = 4.0 * (lam[:, i][:, None] * dlam[j] + lam[:, j][:, None] * dlam[i])
-        return out
+            return np.repeat(dlam[None], lam.shape[0], axis=0)
+        i, j = self._i, self._j
+        vertex = (4.0 * lam - 1.0)[:, :, None] * dlam
+        edge = 4.0 * (lam[:, i, None] * dlam[j] + lam[:, j, None] * dlam[i])
+        return np.concatenate([vertex, edge], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -224,32 +197,21 @@ def build_space(mesh: Mesh, degree: int) -> FeSpace:
         dof_coords = mesh.vertices.copy()
         element_dofs = mesh.elements.copy()
         dirichlet = mesh.boundary_vertices.copy()
-    elif mesh.dimension == 1:
-        # vertices then one midpoint per element
-        mids = 0.5 * (mesh.vertices[mesh.elements[:, 0]] + mesh.vertices[mesh.elements[:, 1]])
-        dof_coords = np.vstack([mesh.vertices, mids])
-        element_dofs = np.column_stack(
-            [mesh.elements, nv + np.arange(mesh.n_elements, dtype=np.int64)]
-        )
-        dirichlet = mesh.boundary_vertices.copy()
     else:
-        edge_ids, edge_count = element_edges(mesh)
-        n_edges = len(edge_ids)
-        edge_mid = np.empty((n_edges, 2))
-        for (va, vb), eid in edge_ids.items():
-            edge_mid[eid] = 0.5 * (mesh.vertices[va] + mesh.vertices[vb])
-        dof_coords = np.vstack([mesh.vertices, edge_mid])
-        element_dofs = np.empty((mesh.n_elements, 6), dtype=np.int64)
-        element_dofs[:, :3] = mesh.elements
-        for e, tri in enumerate(mesh.elements):
-            for a, (i, j) in enumerate(((0, 1), (1, 2), (2, 0))):
-                key = (int(min(tri[i], tri[j])), int(max(tri[i], tri[j])))
-                element_dofs[e, 3 + a] = nv + edge_ids[key]
-        # an edge dof is constrained iff its edge is a boundary facet
-        bdry_edges = np.flatnonzero(edge_count == 1)
-        dirichlet = np.sort(
-            np.concatenate([mesh.boundary_vertices, nv + bdry_edges])
-        ).astype(np.int64)
+        pairs = np.sort(mesh.elements[:, ref.edges], axis=-1).reshape(-1, 2)
+        _, first, inverse, count = np.unique(
+            pairs, axis=0, return_index=True, return_inverse=True, return_counts=True)
+        # edges are numbered after the vertices in order of first appearance
+        order = np.argsort(first)
+        number = np.argsort(order)
+        edges = pairs[first[order]]
+        dof_coords = np.vstack([mesh.vertices, mesh.vertices[edges].mean(axis=1)])
+        element_dofs = np.hstack([mesh.elements,
+                                  nv + number[inverse.ravel()].reshape(mesh.n_elements, -1)])
+        # an edge lies on the boundary iff it is a facet (2d) seen by one
+        # element; interval edges are the cells themselves
+        on_boundary = (count[order] == 1) & (mesh.dimension == 2)
+        dirichlet = np.concatenate([mesh.boundary_vertices, nv + np.flatnonzero(on_boundary)])
 
     n_dofs = dof_coords.shape[0]
     mask = np.ones(n_dofs, dtype=bool)

@@ -64,6 +64,35 @@ def make_run(dimension=1, epsilon=0.5, T=1.0, n=16, N=8, k=1, l=1,
 
 
 # ---------------------------------------------------------------------------
+# hand-written reference-element formulas, one per (dimension, degree)
+
+
+def reference_basis_oracle(dimension: int, degree: int, points: np.ndarray):
+    """Nodal P1/P2 values (n_points, n_dofs) and gradients (n_points, n_dofs,
+    dimension) on [0, 1] or the unit triangle, written out case by case in
+    the node order vertices, then edge midpoints (0,1), (1,2), (2,0)."""
+    p = np.atleast_2d(points)
+    if dimension == 1:
+        x, one = p[:, 0], np.ones(p.shape[0])
+        if degree == 1:
+            vals, grads = [1.0 - x, x], [-one, one]
+        else:
+            vals = [(1.0 - x) * (1.0 - 2.0 * x), x * (2.0 * x - 1.0), 4.0 * x * (1.0 - x)]
+            grads = [4.0 * x - 3.0, 4.0 * x - 1.0, 4.0 - 8.0 * x]
+        return np.column_stack(vals), np.stack(grads, axis=1)[:, :, None]
+    lam = np.column_stack([1.0 - p[:, 0] - p[:, 1], p[:, 0], p[:, 1]])
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    if degree == 1:
+        return lam, np.broadcast_to(dlam, (p.shape[0], 3, 2))
+    vals = [lam[:, i] * (2.0 * lam[:, i] - 1.0) for i in range(3)]
+    grads = [(4.0 * lam[:, i] - 1.0)[:, None] * dlam[i] for i in range(3)]
+    for i, j in ((0, 1), (1, 2), (2, 0)):
+        vals.append(4.0 * lam[:, i] * lam[:, j])
+        grads.append(4.0 * (lam[:, i][:, None] * dlam[j] + lam[:, j][:, None] * dlam[i]))
+    return np.column_stack(vals), np.stack(grads, axis=1)
+
+
+# ---------------------------------------------------------------------------
 # hand-assembled P1 interval operators (free dofs = interior vertices)
 
 

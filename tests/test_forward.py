@@ -21,6 +21,7 @@ from dgac import (
     make_problem,
     make_time_basis,
     save_checkpoint,
+    solve_backward_dual,
     solve_forward,
     solve_slab,
 )
@@ -321,6 +322,15 @@ def test_checkpoint_roundtrip(tmp_path, solved_default):
         assert np.array_equal(sa.coeffs, sb.coeffs)
     assert np.array_equal(back.partition.points, sol.partition.points)
     assert loaded["problem_hash"] == manifest["problem_hash"]
+
+
+def test_checkpoint_rejects_backward_solution(tmp_path, solved_default):
+    run, sol = solved_default
+    phi = solve_backward_dual(sol, run.problem, run.ops)
+    path = tmp_path / "state.json"
+    with pytest.raises(ValueError, match="'initial'"):
+        save_checkpoint(phi, str(path))
+    assert not path.exists()
 
 
 def test_checkpoint_roundtrip_2d_non_uniform(tmp_path):

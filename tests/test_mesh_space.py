@@ -11,10 +11,10 @@ from dgac import (
     build_space,
     build_square_mesh,
 )
-from dgac.mesh import element_edges
 from dgac.space import ReferenceElement, gauss_jacobi10_01, triangle_rule
 
-from _helpers import p1_error_norms_1d, tridiag_mass, tridiag_stiffness
+from _helpers import (p1_error_norms_1d, reference_basis_oracle, tridiag_mass,
+                      tridiag_stiffness)
 
 
 # ---------------------------------------------------------------------------
@@ -84,17 +84,6 @@ def test_square_mesh_triangle_areas():
     assert total == pytest.approx(1.0)
 
 
-def test_element_edges():
-    mesh = build_square_mesh(2)
-    edge_index, counts = element_edges(mesh)
-    assert len(edge_index) == 16
-    # 8 boundary edges seen once, 8 interior edges shared by two triangles
-    assert sorted(counts.tolist()).count(1) == 8
-    assert sorted(counts.tolist()).count(2) == 8
-    with pytest.raises(ValueError):
-        element_edges(build_interval_mesh(2))
-
-
 def test_nested_refinement_shares_vertices():
     coarse = build_interval_mesh(4)
     fine = build_interval_mesh(8)
@@ -136,20 +125,32 @@ def test_reference_element_rejects_unsupported():
         ReferenceElement(3, 1)
 
 
+def _reference_points(dim, n, seed):
+    rng = np.random.default_rng(seed)
+    if dim == 1:
+        return rng.random((n, 1))
+    # barycentric draw keeps the points inside the reference triangle
+    ab = np.sort(rng.random((n, 2)), axis=1)
+    return np.stack([ab[:, 0], ab[:, 1] - ab[:, 0]], axis=1)
+
+
 @pytest.mark.parametrize("dim,deg", [(1, 1), (1, 2), (2, 1), (2, 2)])
 def test_partition_of_unity(dim, deg):
     ref = ReferenceElement(dim, deg)
-    rng = np.random.default_rng(7)
-    if dim == 1:
-        pts = rng.random((20, 1))
-    else:
-        # barycentric draw keeps the points inside the reference triangle
-        ab = np.sort(rng.random((20, 2)), axis=1)
-        pts = np.stack([ab[:, 0], ab[:, 1] - ab[:, 0]], axis=1)
+    pts = _reference_points(dim, 20, seed=7)
     vals = ref.values(pts)
     grads = ref.gradients(pts)
     np.testing.assert_allclose(vals.sum(axis=1), 1.0, atol=1e-13)
     np.testing.assert_allclose(grads.sum(axis=1), 0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dim,deg", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_reference_element_matches_hand_written_formulas(dim, deg):
+    ref = ReferenceElement(dim, deg)
+    pts = _reference_points(dim, 50, seed=11)
+    want_vals, want_grads = reference_basis_oracle(dim, deg, pts)
+    np.testing.assert_allclose(ref.values(pts), want_vals, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(ref.gradients(pts), want_grads, rtol=0, atol=1e-14)
 
 
 def test_reference_element_nodal_property():
@@ -182,6 +183,51 @@ def test_square_space_dof_counts():
     assert (p1.n_dofs, p1.n_free) == (9, 1)
     p2 = build_space(mesh, 2)
     assert (p2.n_dofs, p2.n_free) == (25, 9)
+
+
+def test_element_edges():
+    space = build_space(build_square_mesh(2), 2)
+    edge_dofs = np.arange(space.mesh.n_vertices, space.n_dofs)
+    assert edge_dofs.size == 16
+    # 8 boundary edges seen by one triangle, 8 interior edges shared by two
+    assert np.isin(edge_dofs, space.dirichlet_dofs).sum() == 8
+
+
+# P2 dof arrays recorded before the edge numbering was vectorized: edges are
+# numbered in order of first appearance over the elements' local edges.
+SQUARE3_P2_ELEMENT_DOFS = [
+    [0, 1, 5, 16, 17, 18], [0, 5, 4, 18, 19, 20], [1, 2, 6, 21, 22, 23],
+    [1, 6, 5, 23, 24, 17], [2, 3, 7, 25, 26, 27], [2, 7, 6, 27, 28, 22],
+    [4, 5, 9, 19, 29, 30], [4, 9, 8, 30, 31, 32], [5, 6, 10, 24, 33, 34],
+    [5, 10, 9, 34, 35, 29], [6, 7, 11, 28, 36, 37], [6, 11, 10, 37, 38, 33],
+    [8, 9, 13, 31, 39, 40], [8, 13, 12, 40, 41, 42], [9, 10, 14, 35, 43, 44],
+    [9, 14, 13, 44, 45, 39], [10, 11, 15, 38, 46, 47], [10, 15, 14, 47, 48, 43],
+]
+# 6 x the edge-midpoint coordinates (dofs 16..48)
+SQUARE3_P2_EDGE_COORDS_X6 = [
+    [1, 0], [2, 1], [1, 1], [1, 2], [0, 1], [3, 0], [4, 1], [3, 1], [3, 2],
+    [5, 0], [6, 1], [5, 1], [5, 2], [2, 3], [1, 3], [1, 4], [0, 3], [4, 3],
+    [3, 3], [3, 4], [6, 3], [5, 3], [5, 4], [2, 5], [1, 5], [1, 6], [0, 5],
+    [4, 5], [3, 5], [3, 6], [6, 5], [5, 5], [5, 6],
+]
+SQUARE3_P2_DIRICHLET = [0, 1, 2, 3, 4, 7, 8, 11, 12, 13, 14, 15, 16, 20, 21,
+                        25, 26, 32, 36, 41, 42, 45, 46, 48]
+
+
+def test_p2_dof_numbering_is_pinned():
+    square = build_space(build_square_mesh(3), 2)
+    np.testing.assert_array_equal(square.element_dofs, SQUARE3_P2_ELEMENT_DOFS)
+    np.testing.assert_array_equal(square.dof_coords[:16], square.mesh.vertices)
+    np.testing.assert_allclose(square.dof_coords[16:],
+                               np.array(SQUARE3_P2_EDGE_COORDS_X6) / 6.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(square.dirichlet_dofs, SQUARE3_P2_DIRICHLET)
+
+    interval = build_space(build_interval_mesh(4), 2)
+    np.testing.assert_array_equal(interval.element_dofs,
+                                  [[0, 1, 5], [1, 2, 6], [2, 3, 7], [3, 4, 8]])
+    np.testing.assert_allclose(8.0 * interval.dof_coords[:, 0],
+                               [0, 2, 4, 6, 8, 1, 3, 5, 7], rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(interval.dirichlet_dofs, [0, 4])
 
 
 def test_scatter_restrict_roundtrip():
