@@ -15,10 +15,9 @@ from .linalg import (
     LinearSolveError,
     EigenResult,
     factorize,
-    solve_linear,
     smallest_generalized_eigenvalue,
 )
-from .timebase import TimePartition, TimeBasis, DgTimeOperators, make_time_basis
+from .timebase import TimePartition, TimeBasis, make_time_basis
 from .characteristic import (
     CharacteristicPoly,
     discrete_characteristic,
@@ -52,14 +51,11 @@ from .companions import (
     dual_stability_report,
     solve_backward_psi,
     psi_chain_report,
-    laplacian_consistency_residual,
     solve_parabolic_projection,
-    local_projection_slab,
     local_projection,
 )
 from .diagnostics import (
     NormReport,
-    EnergyTrace,
     SpectrumTrace,
     RatioReport,
     UnsupportedConfigurationError,
@@ -81,9 +77,8 @@ from .config import (
 __all__ = [
     "Mesh", "build_interval_mesh", "build_square_mesh", "FeSpace",
     "build_space", "SpaceOperators", "LinearSolveConfig", "LinearSolveError",
-    "EigenResult", "factorize", "solve_linear",
-    "smallest_generalized_eigenvalue", "TimePartition", "TimeBasis",
-    "DgTimeOperators", "make_time_basis", "CharacteristicPoly",
+    "EigenResult", "factorize", "smallest_generalized_eigenvalue",
+    "TimePartition", "TimeBasis", "make_time_basis", "CharacteristicPoly",
     "discrete_characteristic", "characteristic_transfer_matrix",
     "characteristic_apply", "sup_norm_scan", "ManufacturedSolution",
     "InitialProfile", "ProblemSpec", "MANUFACTURED", "PROFILES",
@@ -91,9 +86,8 @@ __all__ = [
     "DgSolution", "l2_project", "solve_slab", "solve_forward",
     "save_checkpoint", "load_checkpoint", "IdentityReport",
     "solve_backward_dual", "duality_identity_report", "dual_stability_report",
-    "solve_backward_psi", "psi_chain_report", "laplacian_consistency_residual",
-    "solve_parabolic_projection", "local_projection_slab", "local_projection",
-    "NormReport", "EnergyTrace", "SpectrumTrace", "RatioReport",
+    "solve_backward_psi", "psi_chain_report", "solve_parabolic_projection",
+    "local_projection", "NormReport", "SpectrumTrace", "RatioReport",
     "UnsupportedConfigurationError", "compute_norms", "energy_trace",
     "stability_identity_report", "spectrum_along_solution",
     "best_approximation_ratio", "RunConfig", "ConfigError", "load_config",

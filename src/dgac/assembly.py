@@ -175,18 +175,19 @@ class SpaceOperators:
             self._mass_solvers[cfg] = factorize(self.mass(), cfg)
         return self._mass_solvers[cfg]
 
-    def slab_operator(self, basis, coupling, Theta, tau, reaction=None) -> sp.csr_array:
+    def slab_operator(self, basis, coupling, tau, reaction=None) -> sp.csr_array:
         """Space-time slab matrix on the fixed kron pattern.
 
         Returns kron(coupling, M) + tau kron(Theta, A)
         + tau sum_q w_q kron(chi(t_q) chi(t_q)^T, W(r_q)), where coupling is
-        G (forward) or G^T (backward) and reaction holds the fields r_q at
-        the time quadrature points of basis, (nq_t, ne, nq), or is None.
+        basis.G (forward) or its transpose (backward), Theta is basis.Theta
+        and reaction holds the fields r_q at the time quadrature points of
+        basis, (nq_t, ne, nq), or is None.
         """
         m = basis.k + 1
         indices, indptr, perm = self._slab_pattern(m)
         blocks = (coupling[:, :, None] * self.mass().data
-                  + tau * Theta[:, :, None] * self.stiffness().data)
+                  + tau * basis.Theta[:, :, None] * self.stiffness().data)
         if reaction is not None:
             c = tau * np.einsum("q,qi,qj->ijq", basis.quad_weights, basis.values, basis.values)
             fields = np.einsum("ijq,qes->ijes", c, reaction)

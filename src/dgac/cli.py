@@ -297,14 +297,8 @@ def _energy_entry(cfg: RunConfig, disc, sol, chash: str) -> dict:
         # discretization with forcing removed and the same initial data.
         problem = dataclasses.replace(problem, exact=None, name=problem.name + "+f0")
         sol = _solve(disc, problem)
-    trace = energy_trace(sol, problem, disc.ops)
-    pts = sol.partition.points
-    scaled = max(res / (1.0 + (pts[i + 1] - pts[i]) * er)
-                 for i, (res, er) in enumerate(zip(trace.residuals, trace.right_energy)))
-    lhs = sum(t * e for t, e in zip(np.diff(pts), trace.right_energy)) \
-        + sum(trace.weighted_dissipation)
-    rhs = sum(trace.integrated_energy)
-    return _identity_entry("energy_balance", lhs, rhs, scaled, 1e-10, chash)
+    report = energy_trace(sol, problem, disc.ops)
+    return _identity_entry(report.name, report.lhs, report.rhs, report.residual, 1e-10, chash)
 
 
 def _projection_moment_entry(cfg: RunConfig, disc, chash: str) -> dict:

@@ -27,9 +27,9 @@ import numpy as np
 
 from .assembly import SpaceOperators, quadratic_forms
 from .forward import DgSolution, SlabSolution, forcing_loads, l2_project, time_moments
-from .linalg import LinearSolveConfig, factorize, solve_linear
+from .linalg import LinearSolveConfig, factorize
 from .problems import ManufacturedSolution, ProblemSpec
-from .timebase import DgTimeOperators, TimeBasis, TimePartition, make_time_basis
+from .timebase import TimeBasis, TimePartition, make_time_basis
 
 
 @dataclass
@@ -62,8 +62,7 @@ def _data_moments(rhs, basis: TimeBasis, ops: SpaceOperators):
     time quadrature points)."""
     if isinstance(rhs, DgSolution):
         M = ops.mass()
-        Theta = DgTimeOperators.from_basis(basis).Theta
-        return lambda n, t0, tau: tau * (Theta @ (M @ rhs.coeffs(n).T).T)
+        return lambda n, t0, tau: tau * (basis.Theta @ (M @ rhs.coeffs(n).T).T)
     qp = basis.quad_points
     return lambda n, t0, tau: time_moments(
         basis, tau, ops.load(ops.time_fields(rhs, t0 + tau * qp)))
@@ -106,7 +105,6 @@ def _march_backward(
     its right-hand side is the incoming trace plus the data rows.
     """
     partition, basis = u_source.partition, u_source.basis
-    time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
     pts = partition.points
     slabs = [None] * partition.n_slabs
@@ -114,9 +112,9 @@ def _march_backward(
     for n in range(partition.n_slabs, 0, -1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        K = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, tau, reaction(n, t0, tau))
+        K = ops.slab_operator(basis, basis.G.T, tau, reaction(n, t0, tau))
         rhs = np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)
-        coeffs = solve_linear(K, rhs.ravel(), lin_cfg).reshape(basis.k + 1, -1)
+        coeffs = factorize(K, lin_cfg)(rhs.ravel()).reshape(basis.k + 1, -1)
         slabs[n - 1] = SlabSolution(coeffs)
         incoming = basis.left_values @ coeffs
     return DgSolution(partition=partition, basis=basis, space=ops.space, initial=None,
@@ -168,9 +166,7 @@ def solve_backward_psi(
     DgSolution).
 
     Returns psi as a DgSolution with initial None; its left_plus(N + 1) is
-    the terminal zero.  The discrete Laplacian d_j = M^{-1} A psi_j is
-    solved per time node and stored as its laplacian, so (d(t), w) =
-    a(psi(t), w) holds for all discrete w at every time in the slab.
+    the terminal zero.
     """
     shape = u_shape
     if shape is None:
@@ -180,13 +176,7 @@ def solve_backward_psi(
     ops = ops or SpaceOperators(shape.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
     terms = _psi_terms(u_ref, rhs, shape.basis, problem, ops)
-    out = _march_backward(*terms, shape, ops, lin_cfg)
-    A = ops.stiffness()
-    mass_solve = ops.mass_solver(lin_cfg)
-    out.laplacian = [
-        np.stack([mass_solve(A @ row) for row in slab.coeffs]) for slab in out.slabs
-    ]
-    return out
+    return _march_backward(*terms, shape, ops, lin_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -376,14 +366,6 @@ def psi_chain_report(
     )
 
 
-def laplacian_consistency_residual(psi: DgSolution, ops: SpaceOperators | None = None) -> float:
-    """Worst residual of (Delta_h psi, w) = a(psi, w) over nodes and slabs."""
-    ops = ops or SpaceOperators(psi.space)
-    lhs = ops.mass() @ np.concatenate(psi.laplacian).T
-    rhs = ops.stiffness() @ np.concatenate([slab.coeffs for slab in psi.slabs]).T
-    return float(np.max(np.linalg.norm(lhs - rhs, axis=0) / (np.linalg.norm(rhs, axis=0) + 1.0)))
-
-
 # ---------------------------------------------------------------------------
 # projections
 
@@ -406,7 +388,6 @@ def solve_parabolic_projection(
     assembled once.
     """
     lin_cfg = lin_cfg or LinearSolveConfig()
-    time_ops = DgTimeOperators.from_basis(basis)
     M = ops.mass()
     mass_load = ops.load(exact.s)
     grad_load = ops.gradient_load(exact.grad_s)
@@ -419,47 +400,16 @@ def solve_parabolic_projection(
         tau = pts[n] - pts[n - 1]
         if tau != step:  # refactor only when the step changes
             solve = None  # release the previous factorization first
-            solve = factorize(ops.slab_operator(basis, time_ops.G, time_ops.Theta, tau), lin_cfg)
+            solve = factorize(ops.slab_operator(basis, basis.G, tau), lin_cfg)
             step = tau
         times = t0 + tau * basis.quad_points
         loads = np.outer(exact.da(times), mass_load) + np.outer(exact.a(times), grad_load)
-        rhs = np.outer(time_ops.left_load, M @ p_prev)
+        rhs = np.outer(basis.left_values, M @ p_prev)
         rhs += time_moments(basis, tau, loads)
         coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
         sol.slabs.append(SlabSolution(coeffs))
         p_prev = basis.right_values @ coeffs
     return sol
-
-
-def local_projection_slab(
-    w,
-    t_start: float,
-    t_end: float,
-    ops: SpaceOperators,
-    basis: TimeBasis,
-    lin_cfg: LinearSolveConfig | None = None,
-) -> np.ndarray:
-    """Slab-local projection: right-endpoint match plus k time moments.
-
-    The coefficients C_j satisfy
-
-        sum_j chi_j(1) C_j = P_h w(t_end),
-        sum_j [int that^m chi_j] M C_j = int that^m (w(t), phi) dthat,
-        m = 0 .. k-1,
-
-    solved as a (k+1) x (k+1) time system for the rows Y_j = M C_j,
-    followed by mass solves.  The moment integrals use the basis rule, so
-    they are exact for polynomial w and match the verification quadrature.
-    """
-    qp = basis.quad_points
-    # loads at the time quadrature points, then at t_end
-    loads = ops.load(ops.time_fields(w, np.append(t_start + (t_end - t_start) * qp, t_end)))
-    moments = basis.quad_weights * qp ** np.arange(basis.k)[:, None]   # (k, nq_t)
-    T = np.vstack([moments @ basis.values, basis.right_values])
-    R = np.vstack([moments @ loads[:-1], loads[-1:]])
-    Y = np.linalg.solve(T, R)
-    mass_solve = ops.mass_solver(lin_cfg)
-    return np.stack([mass_solve(y) for y in Y])
 
 
 def local_projection(
@@ -469,12 +419,31 @@ def local_projection(
     basis: TimeBasis,
     lin_cfg: LinearSolveConfig | None = None,
 ) -> DgSolution:
-    """Apply the slab-local projection on every slab of a partition."""
+    """Slab-local projection: right-endpoint match plus k time moments.
+
+    On every slab the coefficients C_j satisfy
+
+        sum_j chi_j(1) C_j = P_h w(t_end),
+        sum_j [int that^m chi_j] M C_j = int that^m (w(t), phi) dthat,
+        m = 0 .. k-1,
+
+    solved as a (k+1) x (k+1) time system for the rows Y_j = M C_j,
+    followed by mass solves.  The moment integrals use the basis rule, so
+    they are exact for polynomial w and match the verification quadrature.
+    The initial value is the L2 projection of w(t_0).
+    """
     lin_cfg = lin_cfg or LinearSolveConfig()
     initial = l2_project(lambda x: w(partition.points[0], x), ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=initial)
+    qp = basis.quad_points
+    moments = basis.quad_weights * qp ** np.arange(basis.k)[:, None]   # (k, nq_t)
+    T = np.vstack([moments @ basis.values, basis.right_values])
+    mass_solve = ops.mass_solver(lin_cfg)
     pts = partition.points
     for n in range(1, partition.n_slabs + 1):
-        coeffs = local_projection_slab(w, pts[n - 1], pts[n], ops, basis, lin_cfg)
-        sol.slabs.append(SlabSolution(coeffs))
+        t_start, t_end = pts[n - 1], pts[n]
+        # loads at the time quadrature points, then at t_end
+        loads = ops.load(ops.time_fields(w, np.append(t_start + (t_end - t_start) * qp, t_end)))
+        Y = np.linalg.solve(T, np.vstack([moments @ loads[:-1], loads[-1:]]))
+        sol.slabs.append(SlabSolution(np.stack([mass_solve(y) for y in Y])))
     return sol

@@ -48,20 +48,6 @@ class NormReport:
 
 
 @dataclass
-class EnergyTrace:
-    """Per-slab energy bookkeeping for the slab-local balance (f = 0)."""
-
-    right_energy: list[float]
-    integrated_energy: list[float]
-    weighted_dissipation: list[float]
-    residuals: list[float]
-
-    @property
-    def worst_residual(self) -> float:
-        return max(self.residuals)
-
-
-@dataclass
 class SpectrumTrace:
     """Principal eigenvalue of the linearized operator along a trajectory.
 
@@ -251,8 +237,15 @@ def _energy_residual(sol, problem, n, ops) -> tuple[float, float, float, float]:
     return e_right, int_e, diss, abs(tau * e_right - int_e + diss)
 
 
-def energy_trace(sol: DgSolution, problem: ProblemSpec, ops: SpaceOperators | None = None) -> EnergyTrace:
-    """Per-slab energy balance over the whole run.
+def energy_trace(sol: DgSolution, problem: ProblemSpec,
+                 ops: SpaceOperators | None = None) -> IdentityReport:
+    """Energy balance over the whole run, as the report "energy_balance".
+
+    lhs = sum_n [tau_n E(u(t_n^-)) + weighted dissipation of slab n] and
+    rhs = int_0^T E(u) dt; the residual is the worst per-slab absolute
+    residual scaled by 1 + tau_n E(u(t_n^-)).  The details hold the
+    per-slab lists right_energy, integrated_energy, weighted_dissipation
+    and residuals (absolute).
 
     The balance holds for the computed solution whenever f = 0 and k >= 1
     (the derivation tests the scheme with (t - t_{n-1}) u_t, a polynomial
@@ -266,11 +259,18 @@ def energy_trace(sol: DgSolution, problem: ProblemSpec, ops: SpaceOperators | No
     ops = ops or SpaceOperators(sol.space)
     rows = [_energy_residual(sol, problem, n, ops)
             for n in range(1, sol.partition.n_slabs + 1)]
-    return EnergyTrace(
-        right_energy=[r[0] for r in rows],
-        integrated_energy=[r[1] for r in rows],
-        weighted_dissipation=[r[2] for r in rows],
-        residuals=[r[3] for r in rows],
+    right_energy, integrated_energy, dissipation, residuals = (list(c) for c in zip(*rows))
+    pts = sol.partition.points
+    scaled = max(res / (1.0 + (pts[i + 1] - pts[i]) * er)
+                 for i, (res, er) in enumerate(zip(residuals, right_energy)))
+    lhs = sum(t * e for t, e in zip(np.diff(pts), right_energy)) + sum(dissipation)
+    return IdentityReport(
+        name="energy_balance",
+        lhs=lhs,
+        rhs=sum(integrated_energy),
+        residual=scaled,
+        details={"right_energy": right_energy, "integrated_energy": integrated_energy,
+                 "weighted_dissipation": dissipation, "residuals": residuals},
     )
 
 

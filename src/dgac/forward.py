@@ -37,7 +37,7 @@ from .linalg import LinearSolveConfig, factorize
 from .mesh import build_interval_mesh, build_square_mesh
 from .problems import ProblemSpec
 from .space import FeSpace, build_space
-from .timebase import DgTimeOperators, TimeBasis, TimePartition, make_time_basis
+from .timebase import TimeBasis, TimePartition, make_time_basis
 
 
 @dataclass(frozen=True)
@@ -121,9 +121,7 @@ class DgSolution:
 
     Serves the forward solution, the projections and both backward
     problems.  initial is u^0 = P_h u_0 on the free dofs, None for the
-    backward problems (whose terminal datum is zero).  laplacian holds the
-    per-slab nodal discrete Laplacian M^{-1} A psi of the linearized
-    backward solution, None otherwise.
+    backward problems (whose terminal datum is zero).
     """
 
     partition: TimePartition
@@ -131,14 +129,15 @@ class DgSolution:
     space: FeSpace
     initial: np.ndarray | None
     slabs: list[SlabSolution] = field(default_factory=list)
-    laplacian: list[np.ndarray] | None = None
 
     @property
     def k(self) -> int:
         return self.basis.k
 
     def coeffs(self, n: int) -> np.ndarray:
-        """Coefficients of slab n (1-based)."""
+        """Coefficients of slab n (1-based); ValueError for n outside 1..N."""
+        if not 1 <= n <= len(self.slabs):
+            raise ValueError(f"slab index {n} is outside 1..{len(self.slabs)}")
         return self.slabs[n - 1].coeffs
 
     def eval_slab(self, n: int, that_points) -> np.ndarray:
@@ -180,18 +179,15 @@ class DgSolution:
 class _SlabSystem:
     """Residual and Jacobian of one slab in flattened time-major layout."""
 
-    def __init__(self, ops, basis, time_ops, tau, epsilon, prev, floads):
+    def __init__(self, ops, basis, tau, epsilon, prev, floads):
         self.ops = ops
         self.basis = basis
-        self.G = time_ops.G
-        self.Theta = time_ops.Theta
-        self.left_load = time_ops.left_load
         self.tau = tau
         self.inv_eps2 = 1.0 / epsilon**2
         self.M = ops.mass()
         self.A = ops.stiffness()
         self.n_free = ops.space.n_free
-        self.prev_term = np.outer(self.left_load, self.M @ prev)  # (k+1, nf)
+        self.prev_term = np.outer(basis.left_values, self.M @ prev)  # (k+1, nf)
         if floads is None:
             self.force_term = np.zeros((basis.k + 1, self.n_free))
         else:
@@ -204,13 +200,13 @@ class _SlabSystem:
     def residual(self, U: np.ndarray) -> np.ndarray:
         vals = self.quad_fields(U)
         nl = self.ops.load(vals**3 - vals)                     # (nq_t, n_free)
-        out = self.G @ (self.M @ U.T).T + self.tau * (self.Theta @ (self.A @ U.T).T)
+        out = self.basis.G @ (self.M @ U.T).T + self.tau * (self.basis.Theta @ (self.A @ U.T).T)
         out += time_moments(self.basis, self.tau * self.inv_eps2, nl)
         return out - self.prev_term - self.force_term
 
     def jacobian(self, U: np.ndarray):
         reaction = self.inv_eps2 * (3.0 * self.quad_fields(U) ** 2 - 1.0)
-        return self.ops.slab_operator(self.basis, self.G, self.Theta, self.tau, reaction)
+        return self.ops.slab_operator(self.basis, self.basis.G, self.tau, reaction)
 
 
 # The refresh rule of the module docstring: a step with a reused
@@ -262,7 +258,7 @@ def solve_slab(
             if fresh:
                 raise NewtonError(
                     f"{context}: line search stalled after {newton_cfg.max_halvings} halvings "
-                    f"at iteration {it + 1} (residual {norm_prev:.3e})",
+                    f"at iteration {it + 1} (residual {norm_prev:.3e}, target {target:.3e})",
                     history,
                 )
             solve = None  # retry from the same iterate with a fresh factorization
@@ -302,7 +298,6 @@ def solve_forward(
     if problem.dimension != ops.space.mesh.dimension:
         raise ValueError("problem and space dimensions differ")
 
-    time_ops = DgTimeOperators.from_basis(basis)
     u_prev = l2_project(problem.u0, ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=u_prev)
 
@@ -313,7 +308,7 @@ def solve_forward(
         t0, t1 = pts[n - 1], pts[n]
         tau = t1 - t0
         floads = None if loads is None else loads(t0 + tau * basis.quad_points)
-        system = _SlabSystem(ops, basis, time_ops, tau, problem.epsilon, u_prev, floads)
+        system = _SlabSystem(ops, basis, tau, problem.epsilon, u_prev, floads)
         guess = np.tile(u_prev, (basis.k + 1, 1))
         U, _, solve = solve_slab(system, guess, newton_cfg, lin_cfg,
                                  context=f"forward solve failed on slab {n}",
@@ -443,8 +438,11 @@ def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
     n_free = _checkpoint_int(man, "n_free", where)
     if space.n_free != n_free:
         raise ValueError(f"checkpoint dof count {n_free} does not match rebuilt space {space.n_free}")
-    basis = make_time_basis(_checkpoint_int(man, "k", where),
-                            _checkpoint_int(man, "time_quad_points", where))
+    n_quad = _checkpoint_int(man, "time_quad_points", where)
+    if n_quad < 1:
+        raise ValueError(f"{where}: 'time_quad_points' must be >= 1, got {n_quad}")
+    # the recorded rule, exact or not: the solution was computed with it
+    basis = make_time_basis(_checkpoint_int(man, "k", where), n_quad, allow_inexact=True)
     partition = TimePartition(_checkpoint_array(man, "partition", where))
     n_slabs = _checkpoint_int(man, "N_slabs", where)
     if partition.n_slabs != n_slabs:

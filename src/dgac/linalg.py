@@ -89,11 +89,6 @@ def factorize(A, config: LinearSolveConfig | None = None):
     return solve
 
 
-def solve_linear(A, b: np.ndarray, config: LinearSolveConfig | None = None) -> np.ndarray:
-    """Solve A x = b by sparse LU under the residual contract of factorize."""
-    return factorize(A, config)(b)
-
-
 # ---------------------------------------------------------------------------
 # smallest generalized eigenvalue
 

@@ -10,7 +10,7 @@ weaker rule is refused unless explicitly allowed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,7 +110,16 @@ def _lagrange_derivatives(nodes: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeBasis:
-    """Nodal Lagrange basis of degree k on [0, 1] with its quadrature rule."""
+    """Nodal Lagrange basis of degree k on [0, 1], its quadrature rule and
+    the reference-interval coupling matrices of the slab system,
+
+        G[i, j] = chi_i(1) chi_j(1) - int_0^1 chi_j chi_i'   (time derivative
+        plus outflow trace after slab-local integration by parts),
+        Theta[i, j] = int_0^1 chi_i chi_j,
+
+    both integrated by the basis' own rule.  left_values weights the
+    incoming trace.  For k = 0, G = Theta = [[1]].
+    """
 
     k: int
     nodes: np.ndarray
@@ -121,6 +130,8 @@ class TimeBasis:
     left_values: np.ndarray   # chi_j(0)
     right_values: np.ndarray  # chi_j(1); equals e_k for Radau nodes
     exactness_degree: int
+    G: np.ndarray
+    Theta: np.ndarray
 
     def eval(self, points) -> np.ndarray:
         return _lagrange_values(self.nodes, np.atleast_1d(points))
@@ -158,40 +169,10 @@ def make_time_basis(k: int, quad_points: int | None = None, allow_inexact: bool 
         )
     nodes = radau_right_nodes(k)
     q, w = gauss_legendre_01(nq)
-    return TimeBasis(
-        k=k,
-        nodes=nodes,
-        quad_points=q,
-        quad_weights=w,
-        values=_lagrange_values(nodes, q),
-        derivatives=_lagrange_derivatives(nodes, q),
-        left_values=_lagrange_values(nodes, np.array([0.0]))[0],
-        right_values=_lagrange_values(nodes, np.array([1.0]))[0],
-        exactness_degree=2 * nq - 1,
-    )
-
-
-@dataclass(frozen=True)
-class DgTimeOperators:
-    """Reference-interval coupling matrices of the slab system.
-
-    G[i, j] = chi_i(1) chi_j(1) - int_0^1 chi_j chi_i'   (time derivative
-    plus outflow trace after slab-local integration by parts),
-    Theta[i, j] = int_0^1 chi_i chi_j, and left_load[i] = chi_i(0) weights
-    the incoming trace.  For k = 0 these reduce to G = Theta = [[1]],
-    left_load = [1].
-    """
-
-    G: np.ndarray
-    Theta: np.ndarray
-    left_load: np.ndarray
-
-    @classmethod
-    def from_basis(cls, basis: TimeBasis) -> "DgTimeOperators":
-        w = basis.quad_weights
-        val = basis.values
-        dval = basis.derivatives
-        r = basis.right_values
-        G = np.outer(r, r) - np.einsum("q,qj,qi->ij", w, val, dval)
-        Theta = np.einsum("q,qi,qj->ij", w, val, val)
-        return cls(G=G, Theta=Theta, left_load=basis.left_values.copy())
+    val, dval = _lagrange_values(nodes, q), _lagrange_derivatives(nodes, q)
+    left, right = _lagrange_values(nodes, np.array([0.0, 1.0]))
+    return TimeBasis(k=k, nodes=nodes, quad_points=q, quad_weights=w, values=val,
+                     derivatives=dval, left_values=left, right_values=right,
+                     exactness_degree=2 * nq - 1,
+                     G=np.outer(right, right) - np.einsum("q,qj,qi->ij", w, val, dval),
+                     Theta=np.einsum("q,qi,qj->ij", w, val, val))

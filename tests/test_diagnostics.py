@@ -150,14 +150,14 @@ def test_norm_report_is_pure(solved_default):
 def test_energy_trace_balance_and_decay(k):
     run = _small_run(k)
     sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
-    trace = energy_trace(sol, run.problem, run.ops)
+    trace = energy_trace(sol, run.problem, run.ops).details
     N = run.partition.n_slabs
-    assert len(trace.right_energy) == N
-    assert trace.worst_residual <= 1e-10
-    assert all(e > 0.0 for e in trace.right_energy)
-    assert all(e > 0.0 for e in trace.integrated_energy)
-    assert all(d >= 0.0 for d in trace.weighted_dissipation)
-    diffs = np.diff(trace.right_energy)
+    assert len(trace["right_energy"]) == N
+    assert max(trace["residuals"]) <= 1e-10
+    assert all(e > 0.0 for e in trace["right_energy"])
+    assert all(e > 0.0 for e in trace["integrated_energy"])
+    assert all(d >= 0.0 for d in trace["weighted_dissipation"])
+    diffs = np.diff(trace["right_energy"])
     assert np.all(diffs <= 1e-12)
 
 

@@ -9,9 +9,32 @@ from pathlib import Path
 import dgac
 
 
+# The public API, pinned: widening it means editing this list.
+PUBLIC_NAMES = [
+    "CharacteristicPoly", "ConfigError", "DgSolution", "EigenResult",
+    "FeSpace", "IdentityReport", "InitialProfile", "LinearSolveConfig",
+    "LinearSolveError", "MANUFACTURED", "ManufacturedSolution", "Mesh",
+    "NewtonConfig", "NewtonError", "NormReport", "PROFILES", "ProblemSpec",
+    "RatioReport", "RunConfig", "SlabSolution", "SpaceOperators",
+    "SpectrumTrace", "TimeBasis", "TimePartition",
+    "UnsupportedConfigurationError", "best_approximation_ratio",
+    "build_interval_mesh", "build_space", "build_square_mesh",
+    "characteristic_apply", "characteristic_transfer_matrix", "compute_norms",
+    "config_hash", "discrete_characteristic", "dual_stability_report",
+    "duality_identity_report", "energy_trace", "factorize", "instantiate",
+    "l2_project", "load_checkpoint", "load_config", "local_projection",
+    "make_problem", "make_time_basis", "parse_config", "psi_chain_report",
+    "save_checkpoint", "smallest_generalized_eigenvalue",
+    "solve_backward_dual", "solve_backward_psi", "solve_forward",
+    "solve_parabolic_projection", "solve_slab", "spectrum_along_solution",
+    "stability_identity_report", "sup_norm_scan",
+]
+
+
 def test_all_lists_resolvable_public_names():
     names = dgac.__all__
     assert len(names) == len(set(names))
+    assert sorted(names) == PUBLIC_NAMES
     for name in names:
         assert not name.startswith("_")
         obj = getattr(dgac, name)

@@ -21,7 +21,6 @@ from dgac import (
     make_time_basis,
 )
 from dgac.forward import _SlabSystem
-from dgac.timebase import DgTimeOperators
 
 from _helpers import tridiag_stiffness
 
@@ -73,14 +72,13 @@ def _reaction(ops, basis, seed):
 def test_slab_operator_matches_kron_oracle(dimension, k, l):
     ops = _ops(dimension, l)
     basis = make_time_basis(k)
-    time_ops = DgTimeOperators.from_basis(basis)
     tau = 0.3
     reaction = _reaction(ops, basis, seed=10 * k + l)
-    for coupling, r in ((time_ops.G, reaction), (time_ops.G.T, reaction),
-                        (time_ops.G, None)):
-        got = ops.slab_operator(basis, coupling, time_ops.Theta, tau, r)
+    for coupling, r in ((basis.G, reaction), (basis.G.T, reaction),
+                        (basis.G, None)):
+        got = ops.slab_operator(basis, coupling, tau, r)
         zero = np.zeros_like(reaction)
-        want = _oracle(ops, basis, coupling, time_ops.Theta, tau,
+        want = _oracle(ops, basis, coupling, basis.Theta, tau,
                        zero if r is None else r)
         assert got.shape == want.shape
         assert got.has_canonical_format
@@ -92,10 +90,9 @@ def test_slab_operator_matches_kron_oracle(dimension, k, l):
 def test_backward_operator_is_transpose_of_forward(dimension, k):
     ops = _ops(dimension, 2)
     basis = make_time_basis(k)
-    time_ops = DgTimeOperators.from_basis(basis)
     reaction = _reaction(ops, basis, seed=3)
-    fwd = ops.slab_operator(basis, time_ops.G, time_ops.Theta, 0.2, reaction)
-    bwd = ops.slab_operator(basis, time_ops.G.T, time_ops.Theta, 0.2, reaction)
+    fwd = ops.slab_operator(basis, basis.G, 0.2, reaction)
+    bwd = ops.slab_operator(basis, basis.G.T, 0.2, reaction)
     scale = np.abs(fwd.data).max()
     assert np.abs(bwd.toarray() - fwd.T.toarray()).max() <= 1e-14 * scale
 
@@ -103,18 +100,14 @@ def test_backward_operator_is_transpose_of_forward(dimension, k):
 def test_calls_share_the_pattern_and_match_a_fresh_build():
     ops = _ops(2, 2)
     basis = make_time_basis(1)
-    time_ops = DgTimeOperators.from_basis(basis)
-    first = ops.slab_operator(basis, time_ops.G, time_ops.Theta, 0.1,
-                              _reaction(ops, basis, seed=1))
-    second = ops.slab_operator(basis, time_ops.G, time_ops.Theta, 0.1,
-                               _reaction(ops, basis, seed=2))
+    first = ops.slab_operator(basis, basis.G, 0.1, _reaction(ops, basis, seed=1))
+    second = ops.slab_operator(basis, basis.G, 0.1, _reaction(ops, basis, seed=2))
     assert np.shares_memory(first.indices, second.indices)
     assert np.shares_memory(first.indptr, second.indptr)
     assert not np.array_equal(first.data, second.data)
     fresh = SpaceOperators(ops.space)
     for seed, got in ((1, first), (2, second)):
-        again = fresh.slab_operator(basis, time_ops.G, time_ops.Theta, 0.1,
-                                    _reaction(fresh, basis, seed=seed))
+        again = fresh.slab_operator(basis, basis.G, 0.1, _reaction(fresh, basis, seed=seed))
         np.testing.assert_array_equal(got.indices, again.indices)
         np.testing.assert_array_equal(got.indptr, again.indptr)
         np.testing.assert_array_equal(got.data, again.data)
@@ -134,22 +127,21 @@ def test_forms_share_one_pattern():
 def test_batched_residual_equals_per_point_loop(dimension, k, l):
     ops = _ops(dimension, l)
     basis = make_time_basis(k)
-    time_ops = DgTimeOperators.from_basis(basis)
     rng = np.random.default_rng(7)
     nf = ops.space.n_free
     tau, eps = 0.25, 0.3
     prev = rng.standard_normal(nf)
     floads = rng.standard_normal((basis.n_quad, nf))
-    system = _SlabSystem(ops, basis, time_ops, tau, eps, prev, floads)
+    system = _SlabSystem(ops, basis, tau, eps, prev, floads)
     U = rng.standard_normal((k + 1, nf))
 
     M, A = ops.mass(), ops.stiffness()
     uq = basis.values @ U
-    want = time_ops.G @ (M @ U.T).T + tau * (time_ops.Theta @ (A @ U.T).T)
+    want = basis.G @ (M @ U.T).T + tau * (basis.Theta @ (A @ U.T).T)
     for q, wq in enumerate(basis.quad_weights):
         want += tau / eps**2 * wq * np.outer(basis.values[q], ops.cubic_load(uq[q]))
         want -= tau * wq * np.outer(basis.values[q], floads[q])
-    want -= np.outer(time_ops.left_load, M @ prev)
+    want -= np.outer(basis.left_values, M @ prev)
     got = system.residual(U)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 

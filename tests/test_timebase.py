@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dgac import DgTimeOperators, TimePartition, make_time_basis
+from dgac import TimePartition, make_time_basis
 from dgac.timebase import radau_right_nodes, required_quad_points
 
 from _helpers import lagrange_time_matrices
@@ -116,46 +116,43 @@ def test_basis_is_nodal_and_sums_to_one():
 
 
 def test_lowest_order_operators():
-    ops = DgTimeOperators.from_basis(make_time_basis(0))
-    np.testing.assert_allclose(ops.G, [[1.0]], atol=1e-15)
-    np.testing.assert_allclose(ops.Theta, [[1.0]], atol=1e-15)
-    np.testing.assert_allclose(ops.left_load, [1.0], atol=1e-15)
+    basis = make_time_basis(0)
+    np.testing.assert_allclose(basis.G, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(basis.Theta, [[1.0]], atol=1e-15)
+    np.testing.assert_allclose(basis.left_values, [1.0], atol=1e-15)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2])
 def test_operators_match_polynomial_algebra(k):
     basis = make_time_basis(k)
-    ops = DgTimeOperators.from_basis(basis)
     nodes, G, Th, left, right = lagrange_time_matrices(k)
     np.testing.assert_allclose(basis.nodes, nodes, atol=1e-13)
-    np.testing.assert_allclose(ops.G, G, atol=1e-13)
-    np.testing.assert_allclose(ops.Theta, Th, atol=1e-13)
-    np.testing.assert_allclose(ops.left_load, left, atol=1e-13)
+    np.testing.assert_allclose(basis.G, G, atol=1e-13)
+    np.testing.assert_allclose(basis.Theta, Th, atol=1e-13)
+    np.testing.assert_allclose(basis.left_values, left, atol=1e-13)
     np.testing.assert_allclose(basis.right_values, right, atol=1e-13)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_theta_is_spd_with_unit_total(k):
-    ops = DgTimeOperators.from_basis(make_time_basis(k))
-    vals = np.linalg.eigvalsh(ops.Theta)
+    basis = make_time_basis(k)
+    vals = np.linalg.eigvalsh(basis.Theta)
     assert vals.min() > 0.0
     # sum over all entries is the squared integral of the unit partition
-    assert ops.Theta.sum() == pytest.approx(1.0, abs=1e-13)
+    assert basis.Theta.sum() == pytest.approx(1.0, abs=1e-13)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
 def test_discrete_integration_by_parts(k):
     basis = make_time_basis(k)
-    ops = DgTimeOperators.from_basis(basis)
     w = basis.quad_weights
     # G_ij + int chi_i' chi_j = chi_i(1) chi_j(1), entrywise
-    ibp = ops.G + np.einsum("q,qi,qj->ij", w, basis.derivatives, basis.values)
+    ibp = basis.G + np.einsum("q,qi,qj->ij", w, basis.derivatives, basis.values)
     target = np.outer(basis.right_values, basis.right_values)
     np.testing.assert_allclose(ibp, target, atol=1e-13)
 
 
 def test_under_integration_degrades_theta():
     basis = make_time_basis(1, quad_points=1, allow_inexact=True)
-    ops = DgTimeOperators.from_basis(basis)
     # a one-point rule makes the time mass matrix rank one
-    assert abs(np.linalg.det(ops.Theta)) < 1e-14
+    assert abs(np.linalg.det(basis.Theta)) < 1e-14
