@@ -102,19 +102,30 @@ def _march_backward(
 
     Slab n solves the transposed slab operator with G^T and the frozen
     reaction fields (including the 1/eps^2) at the time quadrature points;
-    its right-hand side is the incoming trace plus the data rows.
+    its right-hand side is the incoming trace plus the data rows.  One LU
+    is carried from slab to slab: each slab first solves by defect
+    correction with it (factorize's solve(b, K)), and factors its own
+    operator only when that stops halving the residual before the
+    contract is met.  The last slab, where the march starts, always
+    factors.
     """
     partition, basis = u_source.partition, u_source.basis
     M = ops.mass()
     pts = partition.points
     slabs = [None] * partition.n_slabs
     incoming = np.zeros(ops.space.n_free)
+    solve = None  # the factorization carried from slab to slab
     for n in range(partition.n_slabs, 0, -1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
         K = ops.slab_operator(basis, basis.G.T, tau, reaction(n, t0, tau))
-        rhs = np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)
-        coeffs = factorize(K, lin_cfg)(rhs.ravel()).reshape(basis.k + 1, -1)
+        rhs = (np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)).ravel()
+        x = None if solve is None else solve(rhs, K)
+        if x is None:  # none yet, or stale for this slab's operator
+            solve = None  # release the previous factorization first
+            solve = factorize(K, lin_cfg)
+            x = solve(rhs)
+        coeffs = x.reshape(basis.k + 1, -1)
         slabs[n - 1] = SlabSolution(coeffs)
         incoming = basis.left_values @ coeffs
     return DgSolution(partition=partition, basis=basis, space=ops.space, initial=None,

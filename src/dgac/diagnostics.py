@@ -143,29 +143,45 @@ def _error_norms(sols: list[DgSolution], exact: ManufacturedSolution,
     x = ops_ref.phys_points
     s = np.asarray(exact.s(x), dtype=float)
     grad_s = np.asarray(exact.grad_s(x), dtype=float)
+    # One set of work arrays per pass, filled in place at every time point
+    # and for every solution: allocating and freeing per-point temporaries
+    # of 0.25-0.5 MB was half the time of a point (certify-2d, 2d P2).
+    ref, err, err2 = (np.empty(s.shape) for _ in range(3))
+    grad_ref, grad_err = np.empty(grad_s.shape), np.empty(grad_s.shape)
+
+    def squared_error(u):
+        """Fill err with (u - ref)^2 at the quadrature points."""
+        np.subtract(ops_ref.eval_free(u, out=err), ref, out=err)
+        np.multiply(err, err, out=err)
+
     per = [{key: [] for key in ("L2L2", "LinfL2", "L2H1", "L4L4")} for _ in sols]
     for n in range(1, first.partition.n_slabs + 1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
         uq = [sol.eval_slab(n, qp) for sol in sols]
         sums = np.zeros((len(sols), 3))
-        # Per time point and per solution on purpose (certify-2d, 2d P2):
-        # batching the 2k+8 points raised peak RSS by a third, and stacking
-        # the solutions raised the ratio's traced peak from 6.6 to 9.0 MB
-        # without making it faster.
         for q, w in enumerate(qw):
             a = exact.a(t0 + tau * qp[q])
-            value, grad = a * s, a * grad_s
+            np.multiply(a, s, out=ref)
+            np.multiply(a, grad_s, out=grad_ref)
             for i, u in enumerate(uq):
-                sums[i] += tau * w * _point_error_forms(ops_ref, u[q], value, grad)
-            del value, grad  # freed before the next point's: keeps the heap from fragmenting
+                squared_error(u[q])
+                l2 = ops_ref.integrate(err)
+                np.multiply(err, err, out=err2)
+                l4 = ops_ref.integrate(err2)
+                np.subtract(ops_ref.eval_grad_free(u[q], out=grad_err), grad_ref, out=grad_err)
+                np.multiply(grad_err, grad_err, out=grad_err)
+                np.copyto(err2, grad_err[..., 0])  # |grad e|^2 as a sum of component squares
+                for c in range(1, grad_err.shape[-1]):
+                    err2 += grad_err[..., c]
+                sums[i] += tau * w * np.array([l2, l2 + ops_ref.integrate(err2), l4])
         linf = np.zeros(len(sols))
         rows = [sol.eval_slab(n, sample) for sol in sols]
         for j, t_ref in enumerate(sample):
-            value = exact.a(t0 + tau * t_ref) * s
+            np.multiply(exact.a(t0 + tau * t_ref), s, out=ref)
             for i, row in enumerate(rows):
-                diff = ops_ref.eval_free(row[j]) - value
-                linf[i] = max(linf[i], ops_ref.integrate(diff * diff))
+                squared_error(row[j])
+                linf[i] = max(linf[i], ops_ref.integrate(err))
         for p, (l2, h1, l4), lmax in zip(per, sums, linf):
             p["L2L2"].append(float(l2))
             p["L2H1"].append(float(h1))
@@ -173,17 +189,6 @@ def _error_norms(sols: list[DgSolution], exact: ManufacturedSolution,
             p["LinfL2"].append(float(lmax))
     M = ops_ref.mass()
     return [_norm_report(sol, p, M) for sol, p in zip(sols, per)]
-
-
-def _point_error_forms(ops: SpaceOperators, u: np.ndarray, value, grad) -> np.ndarray:
-    """||e||^2, ||e||^2 + ||grad e||^2 and ||e||_4^4 of e = u - reference at
-    one time point; the temporaries die on return."""
-    d2 = ops.eval_free(u) - value
-    d2 *= d2
-    gdiff = ops.eval_grad_free(u) - grad
-    sq = ops.integrate(d2)
-    return np.array([sq, sq + ops.integrate(np.einsum("eqd,eqd->eq", gdiff, gdiff)),
-                     ops.integrate(d2 * d2)])
 
 
 def _elevated_ops(space: FeSpace) -> SpaceOperators:

@@ -394,14 +394,19 @@ def _checkpoint_array(record: dict, key: str, where: str) -> np.ndarray:
     return values
 
 
-def _checkpoint_int(record: dict, key: str, where: str) -> int:
-    """Entry key of a checkpoint record as an int; a missing entry or any
-    other type (bool, float, text) raises a ValueError naming the entry."""
+def _checkpoint_int(record: dict, key: str, where: str, low: int,
+                    high: int | None = None) -> int:
+    """Entry key of a checkpoint record as an int in low..high (no upper
+    bound when high is None); a missing entry, any other type (bool, float,
+    text) or a value out of range raises a ValueError naming the entry."""
     if key not in record:
         raise ValueError(f"{where} is missing {key!r}")
     value = record[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{where}: {key!r} must be an integer, got {value!r}")
+    if value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else " or ".join(map(str, range(low, high + 1)))
+        raise ValueError(f"{where}: {key!r} must be {bound}, got {value}")
     return value
 
 
@@ -429,22 +434,19 @@ def load_checkpoint(path: str) -> tuple[DgSolution, dict]:
     mesh_desc = man["mesh"]
     if not isinstance(mesh_desc, dict):
         raise ValueError(f"{where}: 'mesh' must be an object, got {mesh_desc!r}")
-    dimension = _checkpoint_int(mesh_desc, "dimension", f"{where} mesh")
-    if dimension not in _MESH_SIZE_KEYS:
-        raise ValueError(f"{where} mesh: 'dimension' must be 1 or 2, got {dimension}")
-    size = _checkpoint_int(mesh_desc, _MESH_SIZE_KEYS[dimension], f"{where} mesh")
+    dimension = _checkpoint_int(mesh_desc, "dimension", f"{where} mesh", 1, 2)
+    size = _checkpoint_int(mesh_desc, _MESH_SIZE_KEYS[dimension], f"{where} mesh", 1)
     mesh = build_interval_mesh(size) if dimension == 1 else build_square_mesh(size)
-    space = build_space(mesh, _checkpoint_int(man, "degree_l", where))
-    n_free = _checkpoint_int(man, "n_free", where)
+    space = build_space(mesh, _checkpoint_int(man, "degree_l", where, 1, 2))
+    n_free = _checkpoint_int(man, "n_free", where, 0)
     if space.n_free != n_free:
         raise ValueError(f"checkpoint dof count {n_free} does not match rebuilt space {space.n_free}")
-    n_quad = _checkpoint_int(man, "time_quad_points", where)
-    if n_quad < 1:
-        raise ValueError(f"{where}: 'time_quad_points' must be >= 1, got {n_quad}")
     # the recorded rule, exact or not: the solution was computed with it
-    basis = make_time_basis(_checkpoint_int(man, "k", where), n_quad, allow_inexact=True)
+    basis = make_time_basis(_checkpoint_int(man, "k", where, 0),
+                            _checkpoint_int(man, "time_quad_points", where, 1),
+                            allow_inexact=True)
     partition = TimePartition(_checkpoint_array(man, "partition", where))
-    n_slabs = _checkpoint_int(man, "N_slabs", where)
+    n_slabs = _checkpoint_int(man, "N_slabs", where, 1)
     if partition.n_slabs != n_slabs:
         raise ValueError(f"checkpoint partition has {partition.n_slabs} slabs, "
                          f"but its manifest says N_slabs = {n_slabs}")

@@ -49,17 +49,24 @@ _MIN_DEGREE_SIZE = 1000
 
 
 def factorize(A, config: LinearSolveConfig | None = None):
-    """Factor A by sparse LU once; return a solve callable b -> x.
+    """Factor A by sparse LU once; return a solve callable (b, K=None) -> x.
 
     Systems of at least 1000 unknowns order their columns by minimum
     degree on the pattern of A^T + A, which suits the structurally
     symmetric systems assembled here (mass, stiffness and the kron-patterned
     slab operators); smaller ones keep SuperLU's default COLAMD.
 
-    Every solve enforces the residual contract for its own right-hand
-    side: b = 0 returns the exact zero vector, and a non-finite result or
-    a residual above the tolerance raises LinearSolveError.  A singular
-    factorization raises here; there is no fallback.
+    solve(b) solves A x = b and enforces the residual contract for its own
+    right-hand side: b = 0 returns the exact zero vector, and a non-finite
+    result or a residual above the tolerance raises LinearSolveError.  A
+    singular factorization raises here; there is no fallback.
+
+    solve(b, K) solves a nearby system K x = b by defect correction with
+    the factorization of A, x <- x + A^-1 (b - K x) from x = 0, sweeping
+    while each sweep at least halves the residual, so down to round-off.
+    It returns the last x if ||b - K x|| <= rel_tolerance * ||b||, and
+    None otherwise: the factorization is stale for K, and the caller
+    factors K instead.
     """
     cfg = config or LinearSolveConfig()
     A = sp.csc_array(A, dtype=float)
@@ -69,11 +76,21 @@ def factorize(A, config: LinearSolveConfig | None = None):
     except RuntimeError as exc:
         raise LinearSolveError(f"sparse LU factorization failed: {exc}") from exc
 
-    def solve(b: np.ndarray) -> np.ndarray:
+    def solve(b: np.ndarray, K=None) -> np.ndarray | None:
         b = np.asarray(b, dtype=float)
         norm_b = float(np.linalg.norm(b))
         if norm_b == 0.0:
             return np.zeros_like(b)
+        if K is not None:
+            x, r, rel = np.zeros_like(b), b, 1.0
+            while rel > 0.0:  # an exact x ends the sweeps
+                x_next = x + lu.solve(r)
+                r_next = b - K @ x_next
+                rel_next = float(np.linalg.norm(r_next)) / norm_b
+                if not rel_next <= 0.5 * rel:  # NaN from a non-finite sweep included
+                    break
+                x, r, rel = x_next, r_next, rel_next
+            return x if rel <= cfg.rel_tolerance else None
         x = lu.solve(b)
         if not np.all(np.isfinite(x)):
             raise LinearSolveError("sparse LU solve produced non-finite values")

@@ -15,6 +15,7 @@ from dgac import (
     dual_stability_report,
     duality_identity_report,
     energy_trace,
+    factorize,
     local_projection,
     make_time_basis,
     psi_chain_report,
@@ -25,6 +26,7 @@ from dgac import (
     solve_parabolic_projection,
     stability_identity_report,
 )
+from dgac import companions
 from dgac.forward import DgSolution, SlabSolution, l2_project
 
 from _helpers import (
@@ -156,6 +158,81 @@ def test_backward_solution_traces(solved_default):
     for probe in (lambda: phi.eval_time(0.0), lambda: phi.jump(0)):
         with pytest.raises(ValueError, match="no trace at t_0"):
             probe()
+
+
+# ---------------------------------------------------------------------------
+# one factorization carried through each backward march
+
+
+def _count_factorizations(monkeypatch) -> list:
+    """Record the size of every system a backward march factors."""
+    sizes = []
+
+    def counted(A, config=None):
+        sizes.append(A.shape[0])
+        return factorize(A, config)
+
+    monkeypatch.setattr(companions, "factorize", counted)
+    return sizes
+
+
+def _factor_every_slab(monkeypatch) -> None:
+    """Report every carried factorization stale, so that each slab factors
+    its own operator: the march without the carried LU."""
+
+    def per_slab(A, config=None):
+        solve = factorize(A, config)
+        return lambda b, K=None: None if K is not None else solve(b)
+
+    monkeypatch.setattr(companions, "factorize", per_slab)
+
+
+def _backward_pair(run, sol):
+    return (solve_backward_dual(sol, run.problem, run.ops, LIN),
+            solve_backward_psi(sol, sol, run.problem, ops=run.ops, lin_cfg=LIN))
+
+
+def _stacked(sol):
+    return np.stack([sol.coeffs(n) for n in range(1, sol.partition.n_slabs + 1)])
+
+
+@pytest.fixture(scope="module")
+def certify_solved():
+    """The certify configuration: 2d P2 16^2, k=1, N=8, eps 0.5, T=1."""
+    run = make_run(dimension=2, epsilon=0.5, T=1.0, n=16, N=8, k=1, l=2)
+    return run, solve_forward(run.problem, run.ops, run.partition, run.basis)
+
+
+@pytest.mark.parametrize("case", ["1d", "certify-2d"])
+def test_backward_marches_carry_one_factorization(case, solved_default, certify_solved,
+                                                  monkeypatch):
+    run, sol = solved_default if case == "1d" else certify_solved
+    sizes = _count_factorizations(monkeypatch)
+    phi, psi = _backward_pair(run, sol)
+    n_dual = len(sizes)
+    assert n_dual <= 2 and len(sizes) - n_dual <= 2, sizes
+    _factor_every_slab(monkeypatch)
+    for got, want in zip((phi, psi), _backward_pair(run, sol)):
+        got, want = _stacked(got), _stacked(want)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_backward_march_refactors_where_the_reaction_jumps(monkeypatch):
+    # the frozen coefficient jumps from 0 to 3 at t = 0.5, so the reaction
+    # tau (3 u^2 - 1)/eps^2 jumps from -1 to 26: the LU of the last slab
+    # serves slab 3, is stale on slab 2 and is factored again there
+    run = make_run(n=16, N=4, T=1.0, k=1, epsilon=0.5, initial_profile="zero")
+    g = _poly_rhs(run, seed=5)
+
+    def jump(t, x):
+        return np.full(x.shape[:-1], 3.0 if t > 0.5 else 0.0)
+
+    sizes = _count_factorizations(monkeypatch)
+    psi = solve_backward_psi(g, jump, run.problem, ops=run.ops, lin_cfg=LIN)
+    assert len(sizes) == 2
+    _factor_every_slab(monkeypatch)
+    want = _stacked(solve_backward_psi(g, jump, run.problem, ops=run.ops, lin_cfg=LIN))
+    assert np.linalg.norm(_stacked(psi) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,13 @@ def test_batched_grad_matches_rows_and_element_oracle(dimension, l):
     assert batched.shape == (2, ne, nq, dimension)
     for row, got in zip(u, batched):
         np.testing.assert_allclose(ops.eval_grad_free(row), got, rtol=1e-14, atol=1e-14)
+    # written into a given array, values and gradients alike
+    out = np.empty_like(batched)
+    ops.eval_grad_free(u, out=out)
+    np.testing.assert_array_equal(out, batched)
+    values = np.empty((2, ne, nq))
+    ops.eval_free(u, out=values)
+    np.testing.assert_array_equal(values, ops.eval_free(u))
 
     # per element: grad_x u = B^{-T} sum_a u_a grad_ref phi_a at every point
     grad_ref = space.reference.gradients(ops.quad_points)        # (nq, ldof, dim)

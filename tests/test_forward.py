@@ -452,6 +452,14 @@ def _zero_time_quad_points(doc):
     doc["manifest"]["time_quad_points"] = 0
 
 
+def _negative_k(doc):
+    doc["manifest"]["k"] = -1
+
+
+def _degree_l_3(doc):
+    doc["manifest"]["degree_l"] = 3
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (_truncate_slabs, r"coeffs have shape \(2, 2, 15\), expected \(8, 2, 15\)"),
     (_cut_coeffs, r"coeffs have shape \(8, 1, 15\), expected \(8, 2, 15\)"),
@@ -470,10 +478,12 @@ def _zero_time_quad_points(doc):
     (_text_k, "checkpoint manifest: 'k' must be an integer, got '1'"),
     (_text_partition, "checkpoint manifest: field 'partition' is not a numeric array"),
     (_zero_time_quad_points, "checkpoint manifest: 'time_quad_points' must be >= 1, got 0"),
+    (_negative_k, "checkpoint manifest: 'k' must be >= 0, got -1"),
+    (_degree_l_3, "checkpoint manifest: 'degree_l' must be 1 or 2, got 3"),
 ], ids=["slab-count", "coeffs-shape", "initial-shape", "interval", "coeffs-ragged",
         "coeffs-missing", "coeffs-text", "initial-text", "coeffs-null", "coeffs-infinity",
         "manifest-missing", "mesh-dimension-missing", "mesh-dimension-3", "k-fractional",
-        "k-text", "partition-text", "time-quad-points-zero"])
+        "k-text", "partition-text", "time-quad-points-zero", "k-negative", "degree-l-3"])
 def test_checkpoint_rejects_inconsistent_slabs(tmp_path, solved_default, corrupt, match):
     run, sol = solved_default
     path = tmp_path / "state.json"

@@ -182,3 +182,64 @@ def test_eigen_rejects_shift_above_smallest_eigenvalue():
     with pytest.raises(LinearSolveError, match="pivoted off the diagonal"):
         smallest_generalized_eigenvalue(A, M, shift=0.0)
     assert smallest_generalized_eigenvalue(A, M, shift=-2.0).value == pytest.approx(-1.0)
+
+
+# ---------------------------------------------------------------------------
+# defect correction with a carried factorization
+
+
+def _slab_system(dim, scale):
+    """A 2d P2 (98 unknowns) or 1d P1 slab operator with a random reaction
+    times scale, its reaction-free counterpart and a right-hand side."""
+    ops = _ops(4, l=2, dim=2) if dim == 2 else _ops(32)
+    basis = make_time_basis(1)
+    rng = np.random.default_rng(7)
+    reaction = scale * rng.uniform(-1.0, 8.0, (basis.n_quad,) + ops.dets.shape
+                                   + ops.quad_weights.shape)
+    K = ops.slab_operator(basis, basis.G.T, 0.1, reaction)
+    return K, ops.slab_operator(basis, basis.G.T, 0.1), rng.standard_normal(K.shape[0])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_carried_factorization_solves_a_nearby_system(dim):
+    K, _, b = _slab_system(dim, 1.0)
+    P, _, _ = _slab_system(dim, 1.05)  # the reaction 5% off
+    cfg = LinearSolveConfig(rel_tolerance=1e-13)
+    x = factorize(P, cfg)(b, K)
+    assert x is not None
+    assert np.linalg.norm(b - K @ x) <= 1e-13 * np.linalg.norm(b)
+    x_ref = spla.spsolve(sp.csc_array(K), b)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+    # the exact factorization, refined, meets the same contract
+    x = factorize(K, cfg)(b, K)
+    assert np.linalg.norm(x - x_ref) <= 1e-13 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("far_off", ["negated", "without-reaction"])
+def test_far_off_factorization_is_stale(dim, far_off):
+    K, bare, b = _slab_system(dim, 100.0)
+    P = -K if far_off == "negated" else bare
+    cfg = LinearSolveConfig()
+    x = factorize(P, cfg)(b, K)
+    # reported stale, never a result that misses the contract
+    assert x is None or np.linalg.norm(b - K @ x) <= cfg.rel_tolerance * np.linalg.norm(b)
+    if far_off == "negated":  # the first sweep doubles the residual
+        assert x is None
+
+
+def test_carried_factorization_of_a_non_finite_system_is_stale():
+    K, _, b = _slab_system(1, 1.0)
+    solve = factorize(K)
+    K = K.copy()
+    K.data[0] = np.nan
+    assert solve(b, K) is None
+    assert np.all(solve(np.zeros_like(b), K) == 0.0)
+
+
+def test_carried_factorization_stops_at_an_exact_solution():
+    # the first sweep solves the diagonal system exactly: a zero residual
+    # ends the sweeps rather than "halving" forever
+    D = sp.diags_array([2.0, 4.0, 8.0]).tocsc()
+    b = np.array([1.0, -2.0, 4.0])
+    np.testing.assert_array_equal(factorize(D)(b, D), [0.5, -0.5, 0.5])

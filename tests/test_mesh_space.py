@@ -289,3 +289,22 @@ def test_square_matrices_are_spd():
     for mat in (ops.mass().toarray(), ops.stiffness().toarray()):
         np.testing.assert_allclose(mat, mat.T, atol=1e-14)
         assert np.linalg.eigvalsh(mat).min() > 0.0
+
+
+@pytest.mark.parametrize("elevated", [False, True], ids=["default-rule", "elevated-rule"])
+@pytest.mark.parametrize("dimension, degree", [(1, 1), (1, 2), (2, 1), (2, 2)])
+def test_quadrature_geometry_matches_a_per_element_loop(dimension, degree, elevated):
+    # One element at a time: the points v_0 + B^T x_hat (the placement the
+    # recorded 2d results were computed with; B x_hat is ROADMAP item 5)
+    # and the gradients B^{-T} grad phi_hat, B with columns v_i - v_0.  The
+    # batched tables must equal them bit for bit.
+    mesh = build_interval_mesh(8) if dimension == 1 else build_square_mesh(4)
+    space = build_space(mesh, degree)
+    ops = SpaceOperators(space, exact_degree=4 * degree + 6 if elevated else None)
+    x_hat = ops.quad_points                               # (nq, dim)
+    grad_hat = space.reference.gradients(x_hat)           # (nq, ldof, dim)
+    for e, verts in enumerate(mesh.vertices[mesh.elements]):
+        B = (verts[1:] - verts[0]).T
+        # rows: (B^T x_hat)^T = x_hat^T B and (B^{-T} g)^T = g^T B^{-1}
+        np.testing.assert_array_equal(ops.phys_points[e], verts[0] + x_hat @ B)
+        np.testing.assert_array_equal(ops.grad_phys[e], grad_hat @ np.linalg.inv(B))
