@@ -22,7 +22,6 @@ from .characteristic import (
     CharacteristicPoly,
     discrete_characteristic,
     characteristic_transfer_matrix,
-    characteristic_apply,
     sup_norm_scan,
 )
 from .problems import (
@@ -80,7 +79,7 @@ __all__ = [
     "EigenResult", "factorize", "smallest_generalized_eigenvalue",
     "TimePartition", "TimeBasis", "make_time_basis", "CharacteristicPoly",
     "discrete_characteristic", "characteristic_transfer_matrix",
-    "characteristic_apply", "sup_norm_scan", "ManufacturedSolution",
+    "sup_norm_scan", "ManufacturedSolution",
     "InitialProfile", "ProblemSpec", "MANUFACTURED", "PROFILES",
     "make_problem", "NewtonConfig", "NewtonError", "SlabSolution",
     "DgSolution", "l2_project", "solve_slab", "solve_forward",

@@ -11,9 +11,10 @@ with phat_i orthonormal in P_{k-1} under the weighted product
 tests cross-check it against a direct solve of the (k+1) x (k+1) moment
 system in the monomial basis.
 
-Applying the map coefficient-wise to a slab polynomial (time-nodal
-representation) yields the discrete characteristic truncation u_c with
-u_c(0) = u(0) and int_0^1 (u_c, q) = int_0^that (u, q) for q in P_{k-1}.
+The same formula applied to every monomial gives the discrete
+characteristic truncation u_c of a slab polynomial u, with u_c(0) = u(0)
+and int_0^1 (u_c, q) = int_0^that (u, q) for q in P_{k-1}; rho is the
+truncation of the constant 1.
 """
 
 from __future__ import annotations
@@ -80,9 +81,8 @@ def _solve_ld(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _weighted_orthonormal_basis(k: int) -> np.ndarray:
     """Monomial coefficients (rows, long double) of an orthonormal basis of
-    P_{k-1} under (p, q) = int_0^1 eta p q d eta, via Cholesky of the Gram."""
-    if k == 0:
-        return np.zeros((0, 0), dtype=np.longdouble)
+    P_{k-1} (k >= 1) under (p, q) = int_0^1 eta p q d eta, via Cholesky of
+    the Gram."""
     i = np.arange(k)
     gram = 1.0 / np.asarray(i[:, None] + i[None, :] + 2, dtype=np.longdouble)
     L = np.zeros_like(gram)
@@ -94,19 +94,25 @@ def _weighted_orthonormal_basis(k: int) -> np.ndarray:
     return _solve_ld(L, np.eye(k))
 
 
-def _explicit_route(k: int, t_hat: float) -> np.ndarray:
+def _truncation(k: int, t_hat: float) -> np.ndarray:
+    """Monomial matrix (long double, (k+1) x (k+1)) of the truncation map.
+
+    Column j is the truncation of s^j: v_c = v(0) + s * sum_i c_i phat_i
+    with c_i = int_0^that v phat_i - v(0) int_0^1 phat_i, so that
+    int_0^1 v_c q = int_0^that v q for q in P_{k-1}.  Column 0 is rho.
+    """
+    trunc = np.zeros((k + 1, k + 1), dtype=np.longdouble)
+    trunc[0, 0] = 1.0
     if k == 0:
-        return np.array([1.0])
+        return trunc
     P = _weighted_orthonormal_basis(k)  # (k, k) rows = phat_i in monomials
-    powers = np.arange(1, k + 1)
-    # int_that^1 eta^j d eta for monomial antiderivatives
-    tails = (1.0 - np.longdouble(t_hat) ** powers) / powers
-    c = -(P @ tails)
-    r = c @ P                      # r(s) = sum_i c_i phat_i(s), degree k-1
-    coeffs = np.zeros(k + 1, dtype=np.longdouble)
-    coeffs[0] = 1.0
-    coeffs[1:] += r                # rho = 1 + s * r(s)
-    return coeffs.astype(float)
+    q = np.arange(1, k + 1)
+    t = np.longdouble(t_hat)
+    # data[j, m] = int_0^that s^j s^m ds - delta_j0 int_0^1 s^m ds
+    data = np.array([t ** (j + q) / (j + q) for j in range(k + 1)])
+    data[0] = -(1 - t**q) / q
+    trunc[1:] = ((P @ data.T).T @ P).T
+    return trunc
 
 
 def discrete_characteristic(k: int, t_hat: float) -> CharacteristicPoly:
@@ -118,46 +124,19 @@ def discrete_characteristic(k: int, t_hat: float) -> CharacteristicPoly:
     if k < 0:
         raise ValueError("k must be >= 0")
     t = _check_cut(t_hat)
-    return CharacteristicPoly(k=k, t_hat=t, coeffs=_explicit_route(k, t))
-
-
-def _nodal_to_monomial(basis: TimeBasis) -> np.ndarray:
-    """Columns: monomial coefficients of each Lagrange basis polynomial."""
-    m = basis.k + 1
-    V = np.vander(basis.nodes, m, increasing=True)  # V[i, p] = node_i^p
-    return np.linalg.solve(V, np.eye(m))            # column j: chi_j coefficients
+    return CharacteristicPoly(k=k, t_hat=t, coeffs=_truncation(k, t)[:, 0].astype(float))
 
 
 def characteristic_transfer_matrix(basis: TimeBasis, t_hat: float) -> np.ndarray:
     """Nodal matrix T of the characteristic map: coeffs_out = T @ coeffs_in.
 
-    Column j holds the nodal values of the truncation of the j-th Lagrange
-    basis polynomial, obtained by solving the moment system with its exact
-    partial moments int_0^that chi_j s^{m-1} ds as data.
+    T = V trunc V^{-1} with V the Vandermonde matrix of the time nodes and
+    trunc the monomial matrix of the map, whose column 0 is rho.
     """
-    t = _check_cut(t_hat)
-    k = basis.k
-    mono = _nodal_to_monomial(basis)  # (k+1, k+1), column j = chi_j
-    A = np.zeros((k + 1, k + 1), dtype=np.longdouble)
-    A[0, 0] = 1.0
-    for m in range(1, k + 1):
-        A[m, :] = 1.0 / np.asarray(m + np.arange(k + 1), dtype=np.longdouble)
-    rhs = np.zeros((k + 1, k + 1), dtype=np.longdouble)
-    rhs[0, :] = basis.left_values
-    powers = np.arange(k + 1)
-    tl = np.longdouble(t)
-    for m in range(1, k + 1):
-        # int_0^t s^{m-1} s^p ds = t^{m+p} / (m+p)
-        rhs[m, :] = mono.T.astype(np.longdouble) @ (tl ** (m + powers) / (m + powers))
-    tilde_mono = _solve_ld(A, rhs)                  # column j: truncated chi_j
-    V = np.vander(basis.nodes, k + 1, increasing=True)
-    return (V.astype(np.longdouble) @ tilde_mono).astype(float)
-
-
-def characteristic_apply(coeffs: np.ndarray, basis: TimeBasis, t_hat: float) -> np.ndarray:
-    """Apply the characteristic truncation to slab coefficients (k+1, m)."""
-    T = characteristic_transfer_matrix(basis, t_hat)
-    return T @ np.asarray(coeffs, dtype=float)
+    V = np.vander(basis.nodes, basis.k + 1, increasing=True)  # V[i, p] = node_i^p
+    mono = np.linalg.solve(V, np.eye(basis.k + 1))              # column j: chi_j
+    trunc = _truncation(basis.k, _check_cut(t_hat))
+    return (V.astype(np.longdouble) @ trunc @ mono.astype(np.longdouble)).astype(float)
 
 
 def sup_norm_scan(k: int, n_cuts: int = 101, n_samples: int = 2001) -> dict:

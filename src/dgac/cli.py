@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 import os
-import sys
 import time
 
 import numpy as np

@@ -43,52 +43,36 @@ class IdentityReport:
     details: dict = field(default_factory=dict)
 
 
-def _reference_values(u_ref, n, t0, tau, basis, ops) -> np.ndarray:
-    """Frozen coefficient u at the slab's time quadrature points, (nq_t, ne, nq_x).
+def slab_terms(u, a, b, rhs, basis: TimeBasis, problem: ProblemSpec, ops: SpaceOperators):
+    """(reaction, data) of a frozen-reaction slab problem, callables of (n, t0, tau).
 
-    u_ref is either a slab-polynomial solution on the same partition
-    (evaluated from its stored coefficients, no re-interpolation) or a
-    callable u(t, x).
+    reaction(n, t0, tau) is (a u^2 + b)/eps^2 at the time quadrature points
+    of slab n, (nq_t, ne, nq_x): u is a slab-polynomial solution on the
+    same partition (evaluated from its stored coefficients, no
+    re-interpolation) or a callable u(t, x).  data(n, t0, tau) gives the
+    rows tau int chi_i (rhs, phi) of slab n, (k+1, n_free): rhs is a slab
+    polynomial on the same partition (paired through Theta), a function
+    loads(times) -> (n_times, n_free) of load vectors integrated by the
+    time quadrature, or None for zero data.  The forward scheme tested with
+    u_h has (a, b) = (1, -1), the dual problem (1, 1) and the linearized
+    problem (3, -1).
     """
-    if isinstance(u_ref, DgSolution):
-        return ops.eval_free(u_ref.eval_slab(n, basis.quad_points))
-    return ops.time_fields(u_ref, t0 + tau * basis.quad_points)
+    inv_eps2 = 1.0 / problem.epsilon**2
+    qp = basis.quad_points
 
+    def reaction(n, t0, tau):
+        if isinstance(u, DgSolution):
+            vals = ops.eval_free(u.eval_slab(n, qp))
+        else:
+            vals = ops.time_fields(u, t0 + tau * qp)
+        return inv_eps2 * (a * vals**2 + b)
 
-def _data_moments(rhs, basis: TimeBasis, ops: SpaceOperators):
-    """data(n, t0, tau) of a backward problem: the rows tau int chi_i (rhs, phi)
-    of slab n, (k+1, n_free).  rhs is a slab polynomial on the same
-    partition (paired through Theta) or a callable g(t, x) (loads at the
-    time quadrature points)."""
+    if rhs is None:
+        return reaction, lambda n, t0, tau: None
     if isinstance(rhs, DgSolution):
         M = ops.mass()
-        return lambda n, t0, tau: tau * (basis.Theta @ (M @ rhs.coeffs(n).T).T)
-    qp = basis.quad_points
-    return lambda n, t0, tau: time_moments(
-        basis, tau, ops.load(ops.time_fields(rhs, t0 + tau * qp)))
-
-
-def _dual_terms(u_h: DgSolution, problem: ProblemSpec, ops: SpaceOperators):
-    """(reaction, data) of the backward dual problem, callables of (n, t0, tau):
-    the reaction (u_h^2 + 1)/eps^2 at the time quadrature points of slab n
-    and the data rows of u_h."""
-    inv_eps2 = 1.0 / problem.epsilon**2
-
-    def reaction(n, t0, tau):
-        return inv_eps2 * (_reference_values(u_h, n, t0, tau, u_h.basis, ops) ** 2 + 1.0)
-
-    return reaction, _data_moments(u_h, u_h.basis, ops)
-
-
-def _psi_terms(u_ref, rhs, basis: TimeBasis, problem: ProblemSpec, ops: SpaceOperators):
-    """(reaction, data) of the linearized backward problem, as _dual_terms:
-    the reaction (3 u_ref^2 - 1)/eps^2 and the data rows of rhs."""
-    inv_eps2 = 1.0 / problem.epsilon**2
-
-    def reaction(n, t0, tau):
-        return inv_eps2 * (3.0 * _reference_values(u_ref, n, t0, tau, basis, ops) ** 2 - 1.0)
-
-    return reaction, _data_moments(rhs, basis, ops)
+        return reaction, lambda n, t0, tau: tau * (basis.Theta @ (M @ rhs.coeffs(n).T).T)
+    return reaction, lambda n, t0, tau: time_moments(basis, tau, rhs(t0 + tau * qp))
 
 
 def _march_backward(
@@ -98,7 +82,8 @@ def _march_backward(
     ops: SpaceOperators,
     lin_cfg: LinearSolveConfig,
 ) -> DgSolution:
-    """Shared right-to-left sweep over the terms of _dual_terms/_psi_terms.
+    """Right-to-left sweep over a frozen-reaction slab problem, the
+    (reaction, data) of slab_terms.
 
     Slab n solves the transposed slab operator with G^T and the frozen
     reaction fields (including the 1/eps^2) at the time quadrature points;
@@ -156,7 +141,8 @@ def solve_backward_dual(
     """
     ops = ops or SpaceOperators(u_h.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
-    return _march_backward(*_dual_terms(u_h, problem, ops), u_h, ops, lin_cfg)
+    return _march_backward(*slab_terms(u_h, 1, 1, u_h, u_h.basis, problem, ops), u_h, ops,
+                           lin_cfg)
 
 
 def solve_backward_psi(
@@ -186,8 +172,10 @@ def solve_backward_psi(
         raise ValueError("need a slab-polynomial object to fix the discretization")
     ops = ops or SpaceOperators(shape.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
-    terms = _psi_terms(u_ref, rhs, shape.basis, problem, ops)
-    return _march_backward(*terms, shape, ops, lin_cfg)
+    data = rhs if isinstance(rhs, DgSolution) else (
+        lambda times: ops.load(ops.time_fields(rhs, times)))
+    return _march_backward(*slab_terms(u_ref, 3, -1, data, shape.basis, problem, ops), shape,
+                           ops, lin_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +226,39 @@ def duality_identity_report(
     )
 
 
-def slab_balances(sol, ends, reaction, data, ops: SpaceOperators):
+def slab_balances(name: str, sol: DgSolution, reaction, data, ops: SpaceOperators):
     """Per-slab balance of a slab system tested with its own solution v.
 
-    ends(n) gives the outgoing trace, the trace next to the incoming datum
-    and the incoming datum of slab n; reaction(n, t0, tau) the frozen
-    reaction fields r (1/eps^2 included) at the time quadrature points of
-    slab n, (nq_t, ne, nq); and data(n, t0, tau) the data rows
-    tau int chi_i (data, phi) of the slab system, (k+1, n_free), or None
-    for zero data.  Returns (lhs_n, rhs_n, residual_n, forms_n) where
+    reaction and data are the callables of slab_terms.  The trace direction
+    comes from sol: initial None marks a backward solution, whose slab n
+    has outgoing trace v(t_{n-1}^+), near trace v(t_n^-) and incoming datum
+    v(t_n^+); a forward solution has u(t_n^-), u(t_{n-1}^+) and
+    u(t_{n-1}^-).  Per slab
 
       lhs_n = 1/2 ||v_out||^2 + 1/2 ||v_near - v_in||^2 - 1/2 ||v_in||^2
               + int_slab [ a(v,v) + (r v, v) ]
-      rhs_n = int_slab (data, v) = data rows . coefficients of v
+      rhs_n = int_slab (data, v) = data rows . coefficients of v.
 
-    and forms_n = (a(v_q, v_q), ||v_q||^2, (r_q v_q, v_q)), each (nq_t,)
-    over the time quadrature points.  The balance is the computed system
-    dotted with its own coefficients, so it holds to solver tolerance with
-    the solver's quadrature: for the forward scheme (ends u(t_n^-),
-    u(t_{n-1}^+), u(t_{n-1}^-), reaction (u^2 - 1)/eps^2) and for both
-    backward problems (ends v(t_{n-1}^+), v(t_n^-), the incoming datum).
+    The balance is the computed system dotted with its own coefficients,
+    so it holds to solver tolerance with the solver's quadrature.  Returns
+    (report, forms): the IdentityReport name with the summed sides, the
+    worst scaled per-slab residual and the per_slab_residuals in the
+    details, and forms_n = (a(v_q, v_q), ||v_q||^2, (r_q v_q, v_q)), each
+    (nq_t,) over the time quadrature points.
     """
     basis = sol.basis
     w = basis.quad_weights
     M = ops.mass()
     A = ops.stiffness()
     pts = sol.partition.points
+    backward = sol.initial is None
     lhs_list, rhs_list, res_list, forms = [], [], [], []
     for n in range(1, sol.partition.n_slabs + 1):
         t0, tau = pts[n - 1], pts[n] - pts[n - 1]
-        out, near, incoming = ends(n)
+        if backward:
+            out, near, incoming = sol.left_plus(n), sol.right_trace(n), sol.left_plus(n + 1)
+        else:
+            out, near, incoming = sol.right_trace(n), sol.left_plus(n), sol.right_trace(n - 1)
         jump = near - incoming
         vq = sol.eval_slab(n, basis.quad_points)
         a, m = quadratic_forms(A, vq), quadratic_forms(M, vq)
@@ -280,7 +271,10 @@ def slab_balances(sol, ends, reaction, data, ops: SpaceOperators):
         rhs_list.append(rhs)
         res_list.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0))
         forms.append((a, m, react))
-    return lhs_list, rhs_list, res_list, forms
+    report = IdentityReport(name=name, lhs=float(sum(lhs_list)), rhs=float(sum(rhs_list)),
+                            residual=float(max(res_list)),
+                            details={"per_slab_residuals": [float(r) for r in res_list]})
+    return report, forms
 
 
 def dual_stability_report(
@@ -306,9 +300,8 @@ def dual_stability_report(
     basis = u_h.basis
     w = basis.quad_weights
     M = ops.mass()
-    lhs_n, rhs_n, res_n, forms = slab_balances(
-        phi, lambda n: (phi.left_plus(n), phi.right_trace(n), phi.left_plus(n + 1)),
-        *_dual_terms(u_h, problem, ops), ops)
+    report, forms = slab_balances("backward_dual_stability", phi,
+                                  *slab_terms(u_h, 1, 1, u_h, basis, problem, ops), ops)
 
     # Young form from the same slab forms: the boundary terms of the slab
     # balances telescope to 1/2 ||phi(0+)||^2 + 1/2 sum ||[phi]||^2, and the
@@ -317,20 +310,11 @@ def dual_stability_report(
     phi_sq = sum(tau * float(m @ w) for tau, (_, m, _) in zip(taus, forms))
     u_sq = sum(tau * float(quadratic_forms(M, u_h.eval_slab(n, basis.quad_points)) @ w)
                for n, tau in enumerate(taus, start=1))
-    young_lhs = sum(lhs_n) - 0.5 * inv_eps2 * phi_sq
+    young_lhs = report.lhs - 0.5 * inv_eps2 * phi_sq
     young_rhs = 0.5 * problem.epsilon**2 * u_sq
-    return IdentityReport(
-        name="backward_dual_stability",
-        lhs=float(sum(lhs_n)),
-        rhs=float(sum(rhs_n)),
-        residual=float(max(res_n)),
-        details={
-            "per_slab_residuals": [float(r) for r in res_n],
-            "young_lhs": float(young_lhs),
-            "young_rhs": float(young_rhs),
-            "young_slack": float(young_rhs - young_lhs),
-        },
-    )
+    report.details.update(young_lhs=float(young_lhs), young_rhs=float(young_rhs),
+                          young_slack=float(young_rhs - young_lhs))
+    return report
 
 
 def psi_chain_report(
@@ -355,10 +339,10 @@ def psi_chain_report(
     """
     ops = ops or SpaceOperators(psi.space)
     basis = psi.basis
-    lhs_n, rhs_n, res_n, forms = slab_balances(
-        psi, lambda n: (psi.left_plus(n), psi.right_trace(n), psi.left_plus(n + 1)),
-        *_psi_terms(u_ref, rhs, basis, problem, ops), ops)
-    details = {"per_slab_residuals": [float(r) for r in res_n]}
+    data = rhs if isinstance(rhs, DgSolution) else (
+        lambda times: ops.load(ops.time_fields(rhs, times)))
+    report, forms = slab_balances("linearized_backward_stability", psi,
+                                  *slab_terms(u_ref, 3, -1, data, basis, problem, ops), ops)
     if spectral_floor is not None:
         pts = psi.partition.points
         slacks = []
@@ -367,14 +351,8 @@ def psi_chain_report(
             # spectral_floor is a scalar callable of t
             lam = np.array([spectral_floor(t) for t in pts[n - 1] + tau * basis.quad_points])
             slacks.append(tau * float((a + react - lam * m) @ basis.quad_weights))
-        details["spectral_slack_per_slab"] = slacks
-    return IdentityReport(
-        name="linearized_backward_stability",
-        lhs=float(sum(lhs_n)),
-        rhs=float(sum(rhs_n)),
-        residual=float(max(res_n)),
-        details=details,
-    )
+        report.details["spectral_slack_per_slab"] = slacks
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import SpaceOperators, quadratic_forms
-from .companions import IdentityReport, slab_balances
-from .forward import DgSolution, forcing_loads, time_moments
+from .companions import IdentityReport, slab_balances, slab_terms
+from .forward import DgSolution, forcing_loads
 from .linalg import EigenResult, smallest_generalized_eigenvalue
 from .problems import ManufacturedSolution, ProblemSpec
 from .space import FeSpace
@@ -291,34 +291,18 @@ def stability_identity_report(
         = int_slab (f, u).
 
     Exact discrete algebra with the solver's own quadrature: the slab
-    balance of companions.slab_balances with reaction (u^2 - 1)/eps^2, so
-    that (r u, u) = (1/eps^2)(||u||_{L4}^4 - ||u||^2).  The scaled per-slab
-    residuals are reported, worst one as the headline number.
+    balance of companions.slab_balances over slab_terms(u_h, 1, -1, loads
+    of f), so that (r u, u) = (1/eps^2)(||u||_{L4}^4 - ||u||^2).  The
+    scaled per-slab residuals are reported, worst one as the headline
+    number.  A solution without initial data (a backward solution) raises
+    a ValueError.
     """
+    if sol.initial is None:
+        raise ValueError("the forward stability balance needs the initial data u^0; "
+                         "this solution has initial None (a backward solution)")
     ops = ops or SpaceOperators(sol.space)
-    inv_eps2 = 1.0 / problem.epsilon**2
-    basis = sol.basis
-
-    def reaction(n, t0, tau):
-        return inv_eps2 * (ops.eval_free(sol.eval_slab(n, basis.quad_points)) ** 2 - 1.0)
-
-    loads = forcing_loads(problem, ops)
-
-    def data(n, t0, tau):
-        if loads is None:
-            return None
-        return time_moments(basis, tau, loads(t0 + tau * basis.quad_points))
-
-    lhs_n, rhs_n, res_n, _ = slab_balances(
-        sol, lambda n: (sol.right_trace(n), sol.left_plus(n), sol.right_trace(n - 1)),
-        reaction, data, ops)
-    return IdentityReport(
-        name="slab_stability_balance",
-        lhs=float(sum(lhs_n)),
-        rhs=float(sum(rhs_n)),
-        residual=float(max(res_n)),
-        details={"per_slab_residuals": [float(r) for r in res_n]},
-    )
+    terms = slab_terms(sol, 1, -1, forcing_loads(problem, ops), sol.basis, problem, ops)
+    return slab_balances("slab_stability_balance", sol, *terms, ops)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,6 @@ class TimeBasis:
     derivatives: np.ndarray   # chi_j' at quadrature points, (nq, k+1)
     left_values: np.ndarray   # chi_j(0)
     right_values: np.ndarray  # chi_j(1); equals e_k for Radau nodes
-    exactness_degree: int
     G: np.ndarray
     Theta: np.ndarray
 
@@ -173,6 +172,5 @@ def make_time_basis(k: int, quad_points: int | None = None, allow_inexact: bool 
     left, right = _lagrange_values(nodes, np.array([0.0, 1.0]))
     return TimeBasis(k=k, nodes=nodes, quad_points=q, quad_weights=w, values=val,
                      derivatives=dval, left_values=left, right_values=right,
-                     exactness_degree=2 * nq - 1,
                      G=np.outer(right, right) - np.einsum("q,qj,qi->ij", w, val, dval),
                      Theta=np.einsum("q,qi,qj->ij", w, val, val))

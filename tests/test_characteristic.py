@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from dgac import (
-    characteristic_apply,
     characteristic_transfer_matrix,
     discrete_characteristic,
     make_time_basis,
@@ -88,10 +87,9 @@ def test_apply_to_constant_reproduces_rho():
     for k in range(4):
         basis = make_time_basis(k)
         for cut in (0.3, 0.77):
-            rho = discrete_characteristic(k, cut)
-            out = characteristic_apply(3.5 * np.ones((k + 1, 1)), basis, cut)
-            np.testing.assert_allclose(out[:, 0], 3.5 * rho(basis.nodes),
-                                       atol=1e-12)
+            out = characteristic_transfer_matrix(basis, cut) @ (3.5 * np.ones((k + 1, 1)))
+            rho_nodal = polyval(basis.nodes, moment_route(k, cut))
+            np.testing.assert_allclose(out[:, 0], 3.5 * rho_nodal, atol=1e-12)
 
 
 def test_apply_preserves_left_value_and_partial_moments():
@@ -102,7 +100,7 @@ def test_apply_preserves_left_value_and_partial_moments():
         pts = basis.quad_points
         for cut in rng.uniform(0.05, 1.0, size=20):
             U = rng.standard_normal((k + 1, 3))
-            V = characteristic_apply(U, basis, cut)
+            V = characteristic_transfer_matrix(basis, cut) @ U
             u0 = basis.left_values @ U
             v0 = basis.left_values @ V
             np.testing.assert_allclose(v0, u0, atol=1e-11)

@@ -184,6 +184,16 @@ def test_stability_identity(solved_default):
     assert max(per) == rep.residual
 
 
+def test_stability_identity_rejects_a_backward_solution(solved_default):
+    # the forward balance needs u^0; a solution with initial None (the
+    # backward problems) must not be read as a backward balance
+    run, sol = solved_default
+    backward = DgSolution(partition=sol.partition, basis=sol.basis, space=sol.space,
+                          initial=None, slabs=sol.slabs)
+    with pytest.raises(ValueError, match="backward solution"):
+        stability_identity_report(backward, run.problem, run.ops)
+
+
 def test_stability_identity_zero_solution():
     run = make_run(n=8, N=3, T=0.6, k=1, initial_profile="zero")
     sol = solve_forward(run.problem, run.ops, run.partition, run.basis)

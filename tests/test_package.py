@@ -19,7 +19,7 @@ PUBLIC_NAMES = [
     "SpectrumTrace", "TimeBasis", "TimePartition",
     "UnsupportedConfigurationError", "best_approximation_ratio",
     "build_interval_mesh", "build_space", "build_square_mesh",
-    "characteristic_apply", "characteristic_transfer_matrix", "compute_norms",
+    "characteristic_transfer_matrix", "compute_norms",
     "config_hash", "discrete_characteristic", "dual_stability_report",
     "duality_identity_report", "energy_trace", "factorize", "instantiate",
     "l2_project", "load_checkpoint", "load_config", "local_projection",
