@@ -3,13 +3,16 @@
 All assembled operators act on free-dof vectors (Dirichlet rows and columns
 eliminated symmetrically).  They share one CSR sparsity pattern, built once
 per space, and every assembly is a bincount of element entries into its
-data; the space-time slab operators reuse it through a cached kron pattern.
+data; the space-time slab operators reuse it through a cached kron pattern,
+laid out in the CSC order that the sparse LU factors.
 The default quadrature integrates degree 4*l exactly so that cubic-in-u
 loads and quartic energy densities are exact for P1 and P2; pass a higher
 exact_degree for smooth-data integrals.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
@@ -183,14 +186,15 @@ class SpaceOperators:
             self._mass_solvers[cfg] = factorize(self.mass(), cfg)
         return self._mass_solvers[cfg]
 
-    def slab_operator(self, basis, coupling, tau, reaction=None) -> sp.csr_array:
-        """Space-time slab matrix on the fixed kron pattern.
+    def slab_operator(self, basis, coupling, tau, reaction=None) -> sp.csc_array:
+        """Space-time slab matrix on the fixed kron pattern, in CSC format.
 
         Returns kron(coupling, M) + tau kron(Theta, A)
         + tau sum_q w_q kron(chi(t_q) chi(t_q)^T, W(r_q)), where coupling is
         basis.G (forward) or its transpose (backward), Theta is basis.Theta
         and reaction holds the fields r_q at the time quadrature points of
-        basis, (nq_t, ne, nq), or is None.
+        basis, (nq_t, ne, nq), or is None.  The data are gathered straight
+        into CSC order, which factorize passes to the LU unconverted.
         """
         m = basis.k + 1
         indices, indptr, perm = self._slab_pattern(m)
@@ -201,20 +205,21 @@ class SpaceOperators:
             fields = np.einsum("ijq,qes->ijes", c, reaction)
             blocks += self._assemble(self._weighted_local(fields))
         n = m * self.space.n_free
-        return sp.csr_array((blocks.ravel()[perm], indices, indptr), shape=(n, n))
+        return sp.csc_array((blocks.ravel()[perm], indices, indptr), shape=(n, n))
 
     def _slab_pattern(self, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR indices and indptr of kron(ones((m, m)), pattern) and the
-        permutation taking block data (m, m, nnz) to CSR order."""
+        """CSC indices and indptr of kron(ones((m, m)), pattern) and the
+        permutation taking block data (m, m, nnz) to CSC order."""
         if m not in self._slab_patterns:
             nf, nnz = self.space.n_free, self._nnz
-            row_len = np.diff(self._indptr)
-            row_of = np.repeat(np.arange(nf), row_len)
+            row_of = np.repeat(np.arange(nf), np.diff(self._indptr))
+            col_of = self._indices
             i, j, p = (a.ravel() for a in np.meshgrid(
                 np.arange(m), np.arange(m), np.arange(nnz), indexing="ij"))
-            perm = np.lexsort((p, j, row_of[p], i))
-            indices = (j * nf + self._indices[p])[perm].astype(np.int32)
-            indptr = np.concatenate([[0], np.cumsum(np.tile(m * row_len, m))]).astype(np.int32)
+            perm = np.lexsort((row_of[p], i, col_of[p], j))
+            indices = (i * nf + row_of[p])[perm].astype(np.int32)
+            col_len = np.bincount(col_of, minlength=nf)
+            indptr = np.concatenate([[0], np.cumsum(np.tile(m * col_len, m))]).astype(np.int32)
             for a in (indices, indptr, perm):
                 a.flags.writeable = False
             self._slab_patterns[m] = (indices, indptr, perm)
@@ -229,7 +234,7 @@ class SpaceOperators:
     def cubic_load(self, u_free: np.ndarray) -> np.ndarray:
         """Nonlinear load (u^3 - u, phi_a) for free-dof functions u (..., n_free)."""
         vals = self.eval_free(u_free)
-        return self.load(vals**3 - vals)
+        return self.load(vals * vals * vals - vals)
 
     def gradient_load(self, g) -> np.ndarray:
         """Load vector (g, grad phi_a) for a vector field g.
@@ -253,7 +258,7 @@ def _bin_sum(slots: np.ndarray, n_bins: int, values: np.ndarray) -> np.ndarray:
     Slot n_bins collects entries that belong to no bin and is dropped.
     """
     lead = values.shape[:-1]
-    count = int(np.prod(lead))
+    count = math.prod(lead)
     width = n_bins + 1
     flat = (slots + width * np.arange(count)[:, None]).ravel()
     out = np.bincount(flat, weights=values.ravel(), minlength=count * width)

@@ -240,11 +240,14 @@ def slab_balances(name: str, sol: DgSolution, reaction, data, ops: SpaceOperator
       rhs_n = int_slab (data, v) = data rows . coefficients of v.
 
     The balance is the computed system dotted with its own coefficients,
-    so it holds to solver tolerance with the solver's quadrature.  Returns
-    (report, forms): the IdentityReport name with the summed sides, the
-    worst scaled per-slab residual and the per_slab_residuals in the
-    details, and forms_n = (a(v_q, v_q), ||v_q||^2, (r_q v_q, v_q)), each
-    (nq_t,) over the time quadrature points.
+    so it holds to solver tolerance with the solver's quadrature.  Each
+    |lhs_n - rhs_n| is scaled by the sum of the magnitudes of the terms,
+    not by |lhs_n|, whose terms cancel on a strongly growing backward
+    solution.  Returns (report, forms): the IdentityReport name with the
+    summed sides, the worst scaled per-slab residual and the
+    per_slab_residuals in the details, and forms_n = (a(v_q, v_q),
+    ||v_q||^2, (r_q v_q, v_q)), each (nq_t,) over the time quadrature
+    points.
     """
     basis = sol.basis
     w = basis.quad_weights
@@ -263,13 +266,15 @@ def slab_balances(name: str, sol: DgSolution, reaction, data, ops: SpaceOperator
         vq = sol.eval_slab(n, basis.quad_points)
         a, m = quadratic_forms(A, vq), quadratic_forms(M, vq)
         react = ops.integrate(reaction(n, t0, tau) * ops.eval_free(vq) ** 2)
-        lhs = (0.5 * float(out @ (M @ out)) + 0.5 * float(jump @ (M @ jump))
-               - 0.5 * float(incoming @ (M @ incoming)) + tau * float((a + react) @ w))
+        half_out, half_jump, half_in = (0.5 * float(v @ (M @ v)) for v in (out, jump, incoming))
+        lhs = half_out + half_jump - half_in + tau * float((a + react) @ w)
         rows = data(n, t0, tau)
         rhs = 0.0 if rows is None else float(np.vdot(rows, sol.coeffs(n)))
         lhs_list.append(lhs)
         rhs_list.append(rhs)
-        res_list.append(abs(lhs - rhs) / (abs(lhs) + abs(rhs) + 1.0))
+        scale = (half_out + half_jump + half_in + tau * abs(float(a @ w))
+                 + tau * abs(float(react @ w)) + abs(rhs) + 1.0)
+        res_list.append(abs(lhs - rhs) / scale)
         forms.append((a, m, react))
     report = IdentityReport(name=name, lhs=float(sum(lhs_list)), rhs=float(sum(rhs_list)),
                             residual=float(max(res_list)),

@@ -114,7 +114,8 @@ def _self_norms(sol: DgSolution, ops: SpaceOperators) -> NormReport:
         sq = quadratic_forms(M, uq)
         per["L2L2"].append(tau * float(sq @ w))
         per["L2H1"].append(tau * float((sq + quadratic_forms(A, uq)) @ w))
-        per["L4L4"].append(tau * float(ops.integrate(ops.eval_free(uq) ** 4) @ w))
+        u2 = np.square(ops.eval_free(uq))                 # u^4 as (u^2)^2, not through pow
+        per["L4L4"].append(tau * float(ops.integrate(u2 * u2) @ w))
         per["LinfL2"].append(float(quadratic_forms(M, samples @ slab.coeffs).max()))
     return _norm_report(sol, per, M)
 

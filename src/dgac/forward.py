@@ -80,9 +80,10 @@ def l2_project(f, ops: SpaceOperators, lin_cfg: LinearSolveConfig | None = None)
 def time_moments(basis: TimeBasis, tau: float, loads: np.ndarray) -> np.ndarray:
     """tau int_0^1 chi_i (load) dthat by the basis rule, (k+1, n_free).
 
-    loads holds load vectors at the time quadrature points, (nq_t, n_free).
+    loads holds load vectors at the time quadrature points, (nq_t, n_free);
+    the rule is applied as one matrix product, (chi_i(t_q) w_q) @ loads.
     """
-    return tau * np.einsum("q,qi,qa->ia", basis.quad_weights, basis.values, loads)
+    return tau * ((basis.values.T * basis.quad_weights) @ loads)
 
 
 def forcing_loads(problem: ProblemSpec, ops: SpaceOperators):
@@ -199,7 +200,8 @@ class _SlabSystem:
 
     def residual(self, U: np.ndarray) -> np.ndarray:
         vals = self.quad_fields(U)
-        nl = self.ops.load(vals**3 - vals)                     # (nq_t, n_free)
+        # a product, not a power: numpy raises to the third power through libm pow
+        nl = self.ops.load(vals * vals * vals - vals)          # (nq_t, n_free)
         out = self.basis.G @ (self.M @ U.T).T + self.tau * (self.basis.Theta @ (self.A @ U.T).T)
         out += time_moments(self.basis, self.tau * self.inv_eps2, nl)
         return out - self.prev_term - self.force_term

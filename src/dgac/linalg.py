@@ -54,7 +54,9 @@ def factorize(A, config: LinearSolveConfig | None = None):
     Systems of at least 1000 unknowns order their columns by minimum
     degree on the pattern of A^T + A, which suits the structurally
     symmetric systems assembled here (mass, stiffness and the kron-patterned
-    slab operators); smaller ones keep SuperLU's default COLAMD.
+    slab operators); smaller ones keep SuperLU's default COLAMD.  A float
+    CSC matrix (the slab operators) is factored as it is; any other input
+    is first converted to one.
 
     solve(b) solves A x = b and enforces the residual contract for its own
     right-hand side: b = 0 returns the exact zero vector, and a non-finite
@@ -69,7 +71,8 @@ def factorize(A, config: LinearSolveConfig | None = None):
     factors K instead.
     """
     cfg = config or LinearSolveConfig()
-    A = sp.csc_array(A, dtype=float)
+    if not (sp.issparse(A) and A.format == "csc" and A.dtype == float):
+        A = sp.csc_array(A, dtype=float)
     try:
         lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A" if A.shape[0] >= _MIN_DEGREE_SIZE
                        else "COLAMD")

@@ -329,6 +329,37 @@ def test_psi_chain_balance_and_spectral_floor():
     assert min(slacks) >= -1e-9
 
 
+def test_psi_balance_is_scaled_by_its_terms_on_a_growing_solution():
+    # At eps = 0.1 the reaction (3 u_ref^2 - 1)/eps^2 is about -100 where
+    # u_ref is small, so psi grows by orders of magnitude per slab towards
+    # t = 0 and the trace terms of a slab balance nearly cancel.  Scaled by
+    # what is left of them, the solver's round-off read 1.4e-6 on slab 1.
+    run = make_run(n=32, N=6, T=0.2, k=2, l=2, epsilon=0.1, initial_profile="interface")
+    shape = DgSolution(partition=run.partition, basis=run.basis, space=run.space,
+                       initial=None)
+
+    def g(t, x):
+        return np.cos(t) * np.sin(np.pi * x[..., 0])
+
+    def u_ref(t, x):
+        return 0.5 * t * np.cos(np.pi * x[..., 0])
+
+    psi = solve_backward_psi(g, u_ref, run.problem, u_shape=shape, ops=run.ops)
+    rep = psi_chain_report(psi, u_ref, g, run.problem, run.ops)
+    assert np.abs(psi.left_plus(1)).max() > 1e6
+    assert max(rep.details["per_slab_residuals"]) <= 1e-12
+
+
+def test_slab_balance_detects_a_perturbed_slab(solved_default):
+    run, sol = solved_default
+    assert stability_identity_report(sol, run.problem, run.ops).residual <= 1e-12
+    slabs = [SlabSolution(s.coeffs.copy()) for s in sol.slabs]
+    rng = np.random.default_rng(5)
+    slabs[3].coeffs *= 1.0 + 1e-6 * rng.standard_normal(slabs[3].coeffs.shape)
+    perturbed = dataclasses.replace(sol, slabs=slabs)
+    assert stability_identity_report(perturbed, run.problem, run.ops).residual > 1e-9
+
+
 @pytest.mark.parametrize("eps", [0.5, 0.3])
 def test_psi_epsilon_scaling_bound(eps):
     # Testing the linearized system with its own solution and absorbing the

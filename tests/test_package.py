@@ -1,12 +1,21 @@
-"""The package namespace: an explicit, resolvable public API."""
+"""The package namespace: an explicit, resolvable public API, and source
+guards on the kernels that run at every Newton step."""
 
+import ast
+import inspect
 import os
 import subprocess
 import sys
+import textwrap
 import types
 from pathlib import Path
 
+import pytest
+
 import dgac
+from dgac.assembly import SpaceOperators
+from dgac.diagnostics import _self_norms
+from dgac.forward import _SlabSystem
 
 
 # The public API, pinned: widening it means editing this list.
@@ -51,3 +60,17 @@ def test_import_does_not_load_scipy_special():
     subprocess.run([sys.executable, "-c",
                     "import dgac, sys; assert 'scipy.special' not in sys.modules"],
                    env=env, check=True)
+
+
+@pytest.mark.parametrize("kernel", [_SlabSystem.residual, SpaceOperators.cubic_load,
+                                    _self_norms], ids=lambda f: f.__qualname__)
+def test_kernels_take_no_integer_power_above_two(kernel):
+    # numpy has fast paths for x**2 but computes x**3 and x**4 through libm
+    # pow, about 40 times slower than products; these kernels run at every
+    # Newton step or on every slab, so they write powers as products.
+    tree = ast.parse(textwrap.dedent(inspect.getsource(kernel)))
+    powers = [node for node in ast.walk(tree)
+              if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+              and isinstance(node.right, ast.Constant) and type(node.right.value) is int
+              and node.right.value >= 3]
+    assert not powers, [ast.unparse(node) for node in powers]

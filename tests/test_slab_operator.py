@@ -81,6 +81,7 @@ def test_slab_operator_matches_kron_oracle(dimension, k, l):
         want = _oracle(ops, basis, coupling, basis.Theta, tau,
                        zero if r is None else r)
         assert got.shape == want.shape
+        assert got.format == "csc"
         assert got.has_canonical_format
         scale = np.abs(want).max()
         assert np.abs(got.toarray() - want).max() <= 1e-13 * scale
@@ -159,6 +160,24 @@ def test_factorize_checks_every_right_hand_side():
     with pytest.raises(LinearSolveError) as excinfo:
         strict(np.ones(n - 1))
     assert 0.0 < excinfo.value.achieved_residual < 1e-10
+
+
+@pytest.mark.parametrize("dimension,k,l", [(1, 1, 2), (2, 2, 2)])
+def test_factorize_takes_the_csc_slab_operator_as_it_is(dimension, k, l):
+    # the operator factored in CSC format as assembled and its CSR copy
+    # give the same solves, from either kind of solve
+    ops = _ops(dimension, l)
+    basis = make_time_basis(k)
+    reaction = _reaction(ops, basis, seed=9)
+    K = ops.slab_operator(basis, basis.G, 0.2, reaction)
+    near = ops.slab_operator(basis, basis.G, 0.2, 1.001 * reaction)
+    b = np.random.default_rng(6).standard_normal(K.shape[0])
+    from_csc, from_csr = factorize(K), factorize(K.tocsr())
+    np.testing.assert_array_equal(from_csc(b), from_csr(b))
+    corrected = from_csc(b, near)
+    assert corrected is not None
+    np.testing.assert_array_equal(corrected, from_csr(b, near))
+    np.testing.assert_allclose(K @ from_csc(b), b, atol=1e-11 * np.abs(b).max())
 
 
 def test_mass_solver_is_factored_once_per_config():
