@@ -95,9 +95,12 @@ class SpaceOperators:
         self._indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(keys // nf, minlength=nf))]).astype(np.int32)
         self._indices.flags.writeable = self._indptr.flags.writeable = False  # shared
-        self._matrix_slot = np.full(rows.size, self._nnz, dtype=np.int64)
-        self._matrix_slot[keep] = inverse
-        self._load_slot = np.where(local >= 0, local, nf).ravel()
+        matrix_slot = np.full(rows.size, self._nnz, dtype=np.int64)
+        matrix_slot[keep] = inverse
+        # slot table and bin count of the pattern data and of the load vectors
+        self._bins = {"matrix": (matrix_slot, self._nnz),
+                      "load": (np.where(local >= 0, local, nf).ravel(), nf)}
+        self._bin_index: dict[tuple[str, int], np.ndarray] = {}
         self._slab_patterns: dict[int, tuple] = {}
         self._mass = None
         self._stiffness = None
@@ -111,11 +114,31 @@ class SpaceOperators:
 
     def _assemble(self, local: np.ndarray) -> np.ndarray:
         """Sum element blocks (..., ne, ldof, ldof) into pattern data (..., nnz)."""
-        return _bin_sum(self._matrix_slot, self._nnz, local.reshape(local.shape[:-3] + (-1,)))
+        return self._bin_sum("matrix", local.reshape(local.shape[:-3] + (-1,)))
 
     def _gather_load(self, local: np.ndarray) -> np.ndarray:
         """Sum element loads (..., ne, ldof) into free-dof vectors (..., n_free)."""
-        return _bin_sum(self._load_slot, self.space.n_free, local.reshape(local.shape[:-2] + (-1,)))
+        return self._bin_sum("load", local.reshape(local.shape[:-2] + (-1,)))
+
+    def _bin_sum(self, table: str, values: np.ndarray) -> np.ndarray:
+        """Sum values (..., slots) into the bins of slot table table
+        ("matrix" or "load"), per leading index.
+
+        Slot n_bins collects entries that belong to no bin and is dropped.
+        One bincount does it for every leading index at once; its index is
+        built once per table and leading count (a single leading index uses
+        the table itself).
+        """
+        slots, n_bins = self._bins[table]
+        lead = values.shape[:-1]
+        count = math.prod(lead)
+        width = n_bins + 1
+        index = self._bin_index.get((table, count))
+        if index is None:
+            index = slots if count == 1 else (slots + width * np.arange(count)[:, None]).ravel()
+            self._bin_index[table, count] = index
+        out = np.bincount(index, weights=values.ravel(), minlength=count * width)
+        return out.reshape(lead + (width,))[..., :n_bins]
 
     # -- evaluation -----------------------------------------------------------
 
@@ -250,16 +273,3 @@ class SpaceOperators:
 def quadratic_forms(K, rows: np.ndarray) -> np.ndarray:
     """v^T K v for every row v of rows (r, n), (r,)."""
     return np.einsum("ra,ra->r", rows, (K @ rows.T).T)
-
-
-def _bin_sum(slots: np.ndarray, n_bins: int, values: np.ndarray) -> np.ndarray:
-    """Sum values (..., slots.size) into n_bins bins by slot, per leading index.
-
-    Slot n_bins collects entries that belong to no bin and is dropped.
-    """
-    lead = values.shape[:-1]
-    count = math.prod(lead)
-    width = n_bins + 1
-    flat = (slots + width * np.arange(count)[:, None]).ravel()
-    out = np.bincount(flat, weights=values.ravel(), minlength=count * width)
-    return out.reshape(lead + (width,))[..., :n_bins]

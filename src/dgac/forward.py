@@ -14,12 +14,16 @@ nonlinear system is solved by damped simplified Newton with the Jacobian
     J = kron(G, M) + tau kron(Theta, A)
         + (tau/eps^2) sum_q w_q kron(chi(t_q) chi(t_q)^T, W(3 u_q^2 - 1)),
 
-with W the weighted mass matrix.  One sparse LU of J is reused across
-Newton steps and carried from slab to slab; it is re-assembled and
-re-factored at the current iterate when a step with it cuts the residual
-by less than a factor 10 or its line search stalls, and at every step once
-the residual is within 1e4 times the target, so the steps that reach the
-target are full Newton steps.  The initial guess is the constant-in-time
+with W the weighted mass matrix.  One sparse LU is reused across Newton
+steps and carried from slab to slab; it is re-assembled and re-factored at
+the current iterate when a step with it cuts the residual by less than a
+factor 10 or its line search stalls.  Within 1e4 times the target (the
+landing) every step is an exact Newton step: J is assembled at the current
+iterate and solved by defect correction with the carried LU, and factored
+only when that LU is stale for J or has already landed a step.  So the
+steps that reach the target are full Newton steps, and one LU lands about
+two slabs (Shamanskii's method with a capped refresh: an LU that landed
+more steps would age).  The initial guess is the constant-in-time
 extension of the incoming trace.
 """
 
@@ -193,10 +197,15 @@ class _SlabSystem:
             self.force_term = np.zeros((basis.k + 1, self.n_free))
         else:
             self.force_term = time_moments(basis, tau, floads)
+        self._fields_of = self._fields = None
 
     def quad_fields(self, U: np.ndarray) -> np.ndarray:
-        """u at all time and space quadrature points, (nq_t, ne, nq)."""
-        return self.ops.eval_free(self.basis.values @ U)
+        """u at all time and space quadrature points, (nq_t, ne, nq); the
+        fields of the last U are kept for the Jacobian at the same iterate,
+        so an iterate must not be modified in place."""
+        if U is not self._fields_of:
+            self._fields_of, self._fields = U, self.ops.eval_free(self.basis.values @ U)
+        return self._fields
 
     def residual(self, U: np.ndarray) -> np.ndarray:
         vals = self.quad_fields(U)
@@ -229,11 +238,13 @@ def solve_slab(
     """Damped simplified Newton iteration on one slab system.
 
     factorization is a factorize() solve to start from (the one the
-    previous slab ended with) or None; it is re-factored at the current
-    iterate by the refresh rule of the module docstring.  Returns the
-    coefficient array, the step count and the factorization last used;
-    raises NewtonError with the residual history if the tolerance is not
-    reached or the line search stalls with a fresh factorization.
+    previous slab ended with) or None; the refresh rule of the module
+    docstring replaces it.  A factorization that solved a landing step by
+    defect correction carries the attribute landed = True into the next
+    slab.  Returns the coefficient array, the step count and the
+    factorization last used; raises NewtonError with the residual history
+    if the tolerance is not reached or the line search stalls on an exact
+    Newton step.
     """
     U = initial_guess.copy()
     r = system.residual(U)
@@ -245,19 +256,29 @@ def solve_slab(
     solve, it = factorization, 0
     while it < newton_cfg.max_iterations:
         norm_prev = history[-1]
-        fresh = solve is None or norm_prev <= _FULL_NEWTON_ZONE * target
-        if fresh:
-            solve = factorize(system.jacobian(U), lin_cfg)
-        delta = solve(-r.ravel()).reshape(U.shape)
+        exact = solve is None or norm_prev <= _FULL_NEWTON_ZONE * target
+        delta = None
+        if exact:
+            J = system.jacobian(U)
+            if solve is not None and not getattr(solve, "landed", False):
+                delta = solve(-r.ravel(), J)  # None when the LU is stale for J
+                if delta is not None:
+                    solve.landed = True
+            if delta is None:
+                solve = factorize(J, lin_cfg)
+        if delta is None:
+            delta = solve(-r.ravel())
+        delta = delta.reshape(U.shape)
         step = 1.0
         for _ in range(newton_cfg.max_halvings + 1):
-            r_new = system.residual(U + step * delta)
+            trial = U + step * delta
+            r_new = system.residual(trial)
             norm_new = float(np.linalg.norm(r_new))
             if norm_new < norm_prev or norm_new <= target:
                 break
             step *= 0.5
         else:
-            if fresh:
+            if exact:
                 raise NewtonError(
                     f"{context}: line search stalled after {newton_cfg.max_halvings} halvings "
                     f"at iteration {it + 1} (residual {norm_prev:.3e}, target {target:.3e})",
@@ -266,12 +287,12 @@ def solve_slab(
             solve = None  # retry from the same iterate with a fresh factorization
             continue
         it += 1
-        U = U + step * delta
+        U = trial
         r = r_new
         history.append(norm_new)
         if norm_new <= target:
             return U, it, solve
-        if not fresh and norm_new > _CONTRACTION * norm_prev:
+        if not exact and norm_new > _CONTRACTION * norm_prev:
             solve = None
     raise NewtonError(
         f"{context}: no convergence in {newton_cfg.max_iterations} iterations "

@@ -311,6 +311,120 @@ def test_certify_slabs_share_factorizations(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# landings by defect correction: each carried factorization lands one slab
+
+
+def _certify_run(k=1):
+    return make_run(dimension=2, n=16, N=8, T=1.0, k=k, l=2, epsilon=0.5,
+                    manufactured="expsine2d")
+
+
+def _sweep_run(epsilon):
+    # one eps point of the stability sweep: 64 small slabs, a moving interface
+    return make_run(n=32, N=64, T=0.0125, k=1, l=2, epsilon=epsilon,
+                    initial_profile="interface")
+
+
+def _recording_factorize(monkeypatch):
+    """Patch the forward's factorize to record, per factorization, the
+    outcome of each of its defect corrections (None when stale, True
+    otherwise); returns the list of these per-factorization lists."""
+    records = []
+
+    def recording(*args, **kwargs):
+        solve = factorize(*args, **kwargs)
+        outcomes = []
+        records.append(outcomes)
+
+        def recorded(b, K=None):
+            x = solve(b, K)
+            if K is not None:
+                outcomes.append(None if x is None else True)
+            return x
+
+        return recorded
+
+    monkeypatch.setattr("dgac.forward.factorize", recording)
+    return records
+
+
+def test_certify_landings_share_factorizations(monkeypatch):
+    records = _recording_factorize(monkeypatch)
+    run = _certify_run()
+    sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    assert len(sol.slabs) == 8
+    # 9 when every landing factors: one LU per slab plus the first
+    assert 1 <= len(records) <= 5
+    assert all(outcomes.count(True) <= 1 for outcomes in records)
+
+
+@pytest.mark.parametrize("epsilon", [0.4, 0.2, 0.1, 0.05])
+def test_sweep_point_factors_about_every_other_slab(monkeypatch, epsilon):
+    records = _recording_factorize(monkeypatch)
+    run = _sweep_run(epsilon)
+    sol = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    assert len(sol.slabs) == 64
+    # 60 to 65 when every landing factors
+    assert len(records) <= 33
+    # no factorization lands more than one step by defect correction: an
+    # uncapped carried LU ages and its simplified steps contract less
+    assert all(outcomes.count(True) <= 1 for outcomes in records)
+
+
+def _factor_every_landing(monkeypatch):
+    """Patch the forward's factorize so that every defect correction
+    reports the factorization stale: every landing step then factors J."""
+    def never_reused(*args, **kwargs):
+        solve = factorize(*args, **kwargs)
+        return lambda b, K=None: None if K is not None else solve(b)
+
+    monkeypatch.setattr("dgac.forward.factorize", never_reused)
+
+
+@pytest.mark.parametrize("case", [
+    *(dict(l=l, k=k) for l in (1, 2) for k in (1, 2)),
+    *(dict(certify=True, k=k) for k in (1, 2)),
+], ids=["1d-P1-k1", "1d-P1-k2", "1d-P2-k1", "1d-P2-k2", "certify-k1", "certify-k2"])
+def test_corrected_landings_match_factored_landings(monkeypatch, case):
+    case = dict(case)
+    run = _certify_run(case["k"]) if case.pop("certify", False) else make_run(**case)
+    corrected = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    with monkeypatch.context() as patch:
+        _factor_every_landing(patch)
+        factored = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    assert _max_relative_gap(corrected, factored) <= 1e-13
+
+
+@pytest.mark.parametrize("poor_at", ["zero-state", "negated"])
+def test_landing_with_a_poor_factorization_factors_the_jacobian(monkeypatch, poor_at):
+    # start within 1e4 x target of the solution, so that the first step is
+    # a landing step handed the poor factorization of the refresh test
+    run = make_run(n=16, N=2, k=2, epsilon=0.25)
+    prev = run.space.interpolate(lambda x: 3.0 * np.sin(np.pi * x[..., 0]))
+    system = _SlabSystem(run.ops, run.basis, 0.25, 0.25, prev, None)
+    want, _, _ = solve_slab(system, np.tile(prev, (3, 1)), EXACT, LIN)
+    guess = want * (1.0 + 1e-11 * np.cos(np.arange(want.size)).reshape(want.shape))
+    assert np.linalg.norm(system.residual(guess)) <= 1e-8
+    if poor_at == "zero-state":
+        poor = factorize(system.jacobian(np.zeros_like(guess)), LIN)
+    else:
+        poor = factorize(-system.jacobian(guess), LIN)
+    corrections = []
+
+    def recorded(b, K=None):
+        x = poor(b, K)
+        corrections.append(x)
+        return x
+
+    records = _recording_factorize(monkeypatch)
+    U, steps, used = solve_slab(system, guess, NewtonConfig(), LIN, factorization=recorded)
+    assert len(corrections) == 1 and corrections[0] is None  # stale for J: not taken
+    assert len(records) == 1 and used is not recorded
+    assert steps >= 1
+    assert np.max(np.abs(U - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+# ---------------------------------------------------------------------------
 # checkpoints
 
 

@@ -147,6 +147,29 @@ def test_batched_residual_equals_per_point_loop(dimension, k, l):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
 
 
+def test_jacobian_reuses_the_fields_of_the_last_residual(monkeypatch):
+    # Newton assembles J at the iterate whose residual its line search has
+    # just evaluated: the fields are evaluated once, and J is bit-identical
+    ops = _ops(2, 2)
+    basis = make_time_basis(2)
+    rng = np.random.default_rng(8)
+    prev = rng.standard_normal(ops.space.n_free)
+    U = rng.standard_normal((3, ops.space.n_free))
+    want = _SlabSystem(ops, basis, 0.25, 0.3, prev, None).jacobian(U.copy())
+    calls = []
+    eval_free = ops.eval_free
+    monkeypatch.setattr(ops, "eval_free", lambda *a, **kw: calls.append(1) or eval_free(*a, **kw))
+    system = _SlabSystem(ops, basis, 0.25, 0.3, prev, None)
+    system.residual(U)
+    got = system.jacobian(U)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    np.testing.assert_array_equal(got.indices, want.indices)
+    np.testing.assert_array_equal(got.data, want.data)
+    system.jacobian(U.copy())  # another iterate, equal or not, is evaluated afresh
+    assert len(calls) == 2
+
+
 def test_factorize_checks_every_right_hand_side():
     n = 200
     A = sp.csr_array(tridiag_stiffness(n))
