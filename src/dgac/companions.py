@@ -380,6 +380,13 @@ def solve_parabolic_projection(
     space-time discrete space.  For u = a(t) s(x) the load at time t is
     da(t) (s, w) + a(t) (grad s, grad w), so the two spatial loads are
     assembled once.
+
+    One LU is carried from slab to slab, as in the backward marches.  A
+    slab whose step equals the factored one solves with it directly; any
+    other slab solves its own operator by defect correction with it
+    (factorize's solve(b, K)) and factors only when that reports stale.
+    Steps that differ in the last bit, as those of a uniform partition of
+    most T do, so share the first slab's factorization.
     """
     lin_cfg = lin_cfg or LinearSolveConfig()
     M = ops.mass()
@@ -388,19 +395,25 @@ def solve_parabolic_projection(
     p_prev = l2_project(lambda x: exact.value(0.0, x), ops, lin_cfg)
     sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=p_prev)
     pts = partition.points
-    step = None
+    solve, step = None, None  # the factorization carried from slab to slab, and its step
     for n in range(1, partition.n_slabs + 1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        if tau != step:  # refactor only when the step changes
-            solve = None  # release the previous factorization first
-            solve = factorize(ops.slab_operator(basis, basis.G, tau), lin_cfg)
-            step = tau
         times = t0 + tau * basis.quad_points
         loads = np.outer(exact.da(times), mass_load) + np.outer(exact.a(times), grad_load)
         rhs = np.outer(basis.left_values, M @ p_prev)
         rhs += time_moments(basis, tau, loads)
-        coeffs = solve(rhs.ravel()).reshape(basis.k + 1, -1)
+        rhs = rhs.ravel()
+        if tau == step:  # the factored operator itself
+            x = solve(rhs)
+        else:
+            K = ops.slab_operator(basis, basis.G, tau)
+            x = None if solve is None else solve(rhs, K)
+            if x is None:  # none yet, or stale for this slab's operator
+                solve = None  # release the previous factorization first
+                solve, step = factorize(K, lin_cfg), tau
+                x = solve(rhs)
+        coeffs = x.reshape(basis.k + 1, -1)
         sol.slabs.append(SlabSolution(coeffs))
         p_prev = basis.right_values @ coeffs
     return sol

@@ -22,6 +22,14 @@ from .problems import ManufacturedSolution, ProblemSpec
 from .space import FeSpace
 from .timebase import make_time_basis
 
+# Quadrature values per time point in one element chunk of the error-norm
+# pass.  A chunk's errors at all 2k+8 + 4k+6 time points of a slab stay in
+# cache (0.66 MB on 2d P2 with k = 1); one product per time point over the
+# whole mesh streamed the block from memory at every point and made the
+# pass about 1.6x slower (certify-2d).
+_NORM_CHUNK = 8192
+
+
 def _time_samples(k: int) -> np.ndarray:
     """Per-slab sample grid for max-in-time norms.
 
@@ -125,10 +133,16 @@ def _error_norms(sols: list[DgSolution], exact: ManufacturedSolution,
     """Norms of u - exact(t, x) for every solution u, with elevated quadrature.
 
     Time integrals use an elevated Gauss rule, space integrals an elevated
-    element rule.  The spatial factor s and its gradient are sampled once
-    per pass and scaled by a(t) at every time point; the samples are shared
-    by all solutions, so they must have one partition, one time degree and
-    one space.
+    element rule.  Per slab and solution, the k+1 coefficient rows are
+    evaluated once, values and gradients, into a block whose last row holds
+    the spatial factor s of the reference and its gradient.  The error
+    u(t) - a(t) s at every time point of the slab is then one product of
+    the rows [chi_0(t), ..., chi_k(t), -a(t)] with the block, taken one
+    chunk of elements at a time (_NORM_CHUNK).  s is sampled once per pass
+    and held only in that row, so all solutions must have one partition,
+    one time degree and one space.  The error is formed before it is
+    squared: expanded forms such as ||u||^2 - 2a (u, s) + a^2 ||s||^2
+    cancel catastrophically when the error is small.
     """
     first = sols[0]
     for sol in sols[1:]:
@@ -140,55 +154,59 @@ def _error_norms(sols: list[DgSolution], exact: ManufacturedSolution,
     refined = make_time_basis(k, quad_points=2 * k + 8)
     qp, qw = refined.quad_points, refined.quad_weights
     pts = first.partition.points
-    sample = _time_samples(k)
+    times = np.concatenate([qp, _time_samples(k)])   # quadrature points, then the samples
+    chi = first.basis.eval(times)                     # (nt, k+1)
+    nt_q, nt = qp.size, times.size
     x = ops_ref.phys_points
-    s = np.asarray(exact.s(x), dtype=float)
-    grad_s = np.asarray(exact.grad_s(x), dtype=float)
-    # One set of work arrays per pass, filled in place at every time point
-    # and for every solution: allocating and freeing per-point temporaries
-    # of 0.25-0.5 MB was half the time of a point (certify-2d, 2d P2).
-    ref, err, err2 = (np.empty(s.shape) for _ in range(3))
-    grad_ref, grad_err = np.empty(grad_s.shape), np.empty(grad_s.shape)
+    ne, nq, dim = x.shape
+    M = ops_ref.mass()  # assembled before the pass's arrays, which would raise its peak
 
-    def squared_error(u):
-        """Fill err with (u - ref)^2 at the quadrature points."""
-        np.subtract(ops_ref.eval_free(u, out=err), ref, out=err)
-        np.multiply(err, err, out=err)
+    def block(last):
+        """(k+2, ...) array with last as its last row, rows 0..k to be filled."""
+        rows = np.empty((k + 2,) + last.shape)
+        rows[k + 1] = last
+        return rows
+
+    # One block per pass for values and one for gradients, rows 0..k refilled
+    # for every slab and solution; each sample is taken before its block
+    # exists, so that their temporaries do not coexist.
+    grads = block(exact.grad_s(x))
+    values = block(exact.s(x))
+    grad_weights = np.repeat(ops_ref.quad_weights, dim)   # |grad e|^2 over its components
+    chunk = max(1, _NORM_CHUNK // (nq * dim))              # elements per chunk
+    work = np.empty(max(nt, nt_q * dim) * chunk * nq)
+
+    def integrate(fields, e0, e1, weights):
+        """Integrals of per-row fields over the elements e0..e1-1."""
+        return (fields.reshape(len(fields), e1 - e0, -1) @ weights) @ ops_ref.dets[e0:e1]
 
     per = [{key: [] for key in ("L2L2", "LinfL2", "L2H1", "L4L4")} for _ in sols]
     for n in range(1, first.partition.n_slabs + 1):
         t0 = pts[n - 1]
         tau = pts[n] - pts[n - 1]
-        uq = [sol.eval_slab(n, qp) for sol in sols]
-        sums = np.zeros((len(sols), 3))
-        for q, w in enumerate(qw):
-            a = exact.a(t0 + tau * qp[q])
-            np.multiply(a, s, out=ref)
-            np.multiply(a, grad_s, out=grad_ref)
-            for i, u in enumerate(uq):
-                squared_error(u[q])
-                l2 = ops_ref.integrate(err)
-                np.multiply(err, err, out=err2)
-                l4 = ops_ref.integrate(err2)
-                np.subtract(ops_ref.eval_grad_free(u[q], out=grad_err), grad_ref, out=grad_err)
+        at_times = np.hstack([chi, -exact.a(t0 + tau * times)[:, None]])   # (nt, k+2)
+        for sol, p in zip(sols, per):
+            coeffs = sol.coeffs(n)
+            ops_ref.eval_free(coeffs, out=values[:k + 1])
+            ops_ref.eval_grad_free(coeffs, out=grads[:k + 1])
+            e2, e4, grad_e2 = np.zeros(nt), np.zeros(nt_q), np.zeros(nt_q)  # per time point
+            for e0 in range(0, ne, chunk):
+                e1 = min(e0 + chunk, ne)
+                err = work[:nt * (e1 - e0) * nq].reshape(nt, -1)
+                np.matmul(at_times, values[:, e0:e1].reshape(k + 2, -1), out=err)
+                np.multiply(err, err, out=err)
+                e2 += integrate(err, e0, e1, ops_ref.quad_weights)
+                err = err[:nt_q]
+                np.multiply(err, err, out=err)
+                e4 += integrate(err, e0, e1, ops_ref.quad_weights)
+                grad_err = work[:nt_q * (e1 - e0) * nq * dim].reshape(nt_q, -1)
+                np.matmul(at_times[:nt_q], grads[:, e0:e1].reshape(k + 2, -1), out=grad_err)
                 np.multiply(grad_err, grad_err, out=grad_err)
-                np.copyto(err2, grad_err[..., 0])  # |grad e|^2 as a sum of component squares
-                for c in range(1, grad_err.shape[-1]):
-                    err2 += grad_err[..., c]
-                sums[i] += tau * w * np.array([l2, l2 + ops_ref.integrate(err2), l4])
-        linf = np.zeros(len(sols))
-        rows = [sol.eval_slab(n, sample) for sol in sols]
-        for j, t_ref in enumerate(sample):
-            np.multiply(exact.a(t0 + tau * t_ref), s, out=ref)
-            for i, row in enumerate(rows):
-                squared_error(row[j])
-                linf[i] = max(linf[i], ops_ref.integrate(err))
-        for p, (l2, h1, l4), lmax in zip(per, sums, linf):
-            p["L2L2"].append(float(l2))
-            p["L2H1"].append(float(h1))
-            p["L4L4"].append(float(l4))
-            p["LinfL2"].append(float(lmax))
-    M = ops_ref.mass()
+                grad_e2 += integrate(grad_err, e0, e1, grad_weights)
+            p["L2L2"].append(float(tau * (qw @ e2[:nt_q])))
+            p["L2H1"].append(float(tau * (qw @ (e2[:nt_q] + grad_e2))))
+            p["L4L4"].append(float(tau * (qw @ e4)))
+            p["LinfL2"].append(float(e2[nt_q:].max()))
     return [_norm_report(sol, p, M) for sol, p in zip(sols, per)]
 
 

@@ -1,7 +1,6 @@
 """Configuration parsing, hashing, and the command line subcommands."""
 
 import json
-import os
 import re
 from pathlib import Path
 

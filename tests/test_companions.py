@@ -9,7 +9,6 @@ from dgac import (
     LinearSolveConfig,
     ManufacturedSolution,
     NewtonConfig,
-    SpaceOperators,
     TimePartition,
     compute_norms,
     dual_stability_report,
@@ -165,7 +164,7 @@ def test_backward_solution_traces(solved_default):
 
 
 def _count_factorizations(monkeypatch) -> list:
-    """Record the size of every system a backward march factors."""
+    """Record the size of every system a march or projection factors."""
     sizes = []
 
     def counted(A, config=None):
@@ -477,6 +476,23 @@ def test_parabolic_projection_convergence():
     assert abs(l2_order - 2.0) <= 0.2
     assert abs(linf_order - 2.0) <= 0.2
     assert abs(h1_order - 1.0) <= 0.2
+
+
+@pytest.mark.parametrize("dimension", [1, 2])
+def test_parabolic_projection_factors_once(dimension, monkeypatch):
+    # a uniform partition whose linspace steps differ in the last bit: the
+    # first slab's LU serves every slab, directly or by defect correction
+    run = make_run(dimension=dimension, n=16 if dimension == 1 else 4, N=8, T=1.0037, k=1,
+                   l=dimension)
+    assert np.unique(run.partition.tau).size == 4
+    exact = run.problem.exact
+    sizes = _count_factorizations(monkeypatch)
+    u_p = solve_parabolic_projection(exact, run.ops, run.partition, run.basis, lin_cfg=LIN)
+    assert len(sizes) == 1
+    _factor_every_slab(monkeypatch)
+    want = _stacked(solve_parabolic_projection(exact, run.ops, run.partition, run.basis,
+                                               lin_cfg=LIN))
+    assert np.linalg.norm(_stacked(u_p) - want) <= 1e-13 * np.linalg.norm(want)
 
 
 # ---------------------------------------------------------------------------

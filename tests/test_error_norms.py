@@ -1,8 +1,9 @@
 """The shared-reference error-norm pass and the batched gradient kernel:
 batched gradients against per-row calls and a per-element oracle, the
 reference's spatial factor sampled once per pass whatever the number of
-solutions, slabs and time points, values pinned to the earlier
-one-solution-per-pass code, and mismatched solutions rejected."""
+solutions, slabs and time points, the norms against a per-time-point
+oracle, values pinned to the earlier one-solution-per-pass code, and
+mismatched solutions rejected."""
 
 import dataclasses
 
@@ -11,11 +12,15 @@ import pytest
 
 from dgac import (
     NewtonConfig,
+    SpaceOperators,
     best_approximation_ratio,
+    build_space,
     compute_norms,
+    make_time_basis,
     solve_forward,
     solve_parabolic_projection,
 )
+from dgac import diagnostics
 
 from _helpers import make_run, random_dg_solution
 
@@ -91,6 +96,62 @@ def test_reference_sampled_once_for_all_solutions(k):
         ref, calls = _counting(run.problem.exact)
         compute_norms(u_h, reference=ref)
         assert calls == {"s": 1, "grad_s": 1}
+
+
+# ---------------------------------------------------------------------------
+# the norms against the per-time-point formula
+
+
+def _oracle_error_norms(sol, exact, ops):
+    """[L2L2, LinfL2, L2H1, L4L4] of sol - exact: at every time point of the
+    documented rules, evaluate u(t), then subtract a(t) s."""
+    k = sol.k
+    rule = make_time_basis(k, quad_points=2 * k + 8)
+    sample = np.linspace(0.0, 1.0, 4 * (k + 1) + 2)
+    s, grad_s = exact.s(ops.phys_points), exact.grad_s(ops.phys_points)
+    pts = sol.partition.points
+    l2 = h1 = l4 = linf = 0.0
+    for n in range(1, sol.partition.n_slabs + 1):
+        t0, tau = pts[n - 1], pts[n] - pts[n - 1]
+        for that, w in zip(rule.quad_points, rule.quad_weights):
+            u = sol.eval_slab(n, [that])[0]
+            a = exact.a(t0 + tau * that)
+            e = ops.eval_free(u) - a * s
+            grad_e = ops.eval_grad_free(u) - a * grad_s
+            l2 += tau * w * ops.integrate(e**2)
+            h1 += tau * w * ops.integrate(np.sum(grad_e**2, axis=-1))
+            l4 += tau * w * ops.integrate(e**4)
+        for that in sample:
+            e = ops.eval_free(sol.eval_slab(n, [that])[0]) - exact.a(t0 + tau * that) * s
+            linf = max(linf, ops.integrate(e**2))
+    return np.array([np.sqrt(l2), np.sqrt(linf), np.sqrt(l2 + h1), l4**0.25])
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("dimension, l", [(1, 1), (1, 2), (2, 2)])
+def test_error_norms_match_per_time_point_oracle(dimension, l, k, monkeypatch):
+    run = make_run(dimension=dimension, n=8 if dimension == 1 else 3, N=3, T=0.5, k=k, l=l)
+    # graded by x -> x^1.3 in each coordinate, so that the element sizes differ
+    mesh = dataclasses.replace(run.mesh, vertices=run.mesh.vertices ** 1.3)
+    space = build_space(mesh, l)
+    run = dataclasses.replace(run, mesh=mesh, space=space, ops=SpaceOperators(space))
+    exact = run.problem.exact
+    u_h = solve_forward(run.problem, run.ops, run.partition, run.basis)
+    u_p = solve_parabolic_projection(exact, run.ops, run.partition, run.basis)
+    ops = SpaceOperators(run.space, exact_degree=4 * l + 6)
+    want_h, want_p = (_oracle_error_norms(u, exact, ops) for u in (u_h, u_p))
+    _, nq, dim = ops.phys_points.shape
+    # one chunk holding every element (8 or 18 of them), then chunks of 5
+    # elements with a shorter last one
+    for chunk in (diagnostics._NORM_CHUNK, 5 * nq * dim):
+        monkeypatch.setattr(diagnostics, "_NORM_CHUNK", chunk)
+        err = compute_norms(u_h, reference=exact)
+        np.testing.assert_allclose([err.L2L2, err.LinfL2, err.L2H1, err.L4L4], want_h,
+                                   rtol=1e-13, atol=0)
+        rep = best_approximation_ratio(u_h, u_p, exact)
+        np.testing.assert_allclose([rep.numerator, rep.denominator],
+                                   [want_h[2] + want_h[1], want_p[2] + want_p[1]],
+                                   rtol=1e-13, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -11,15 +11,11 @@ from dgac import (
     NewtonConfig,
     NewtonError,
     ProblemSpec,
-    SpaceOperators,
     TimePartition,
-    build_interval_mesh,
-    build_space,
     factorize,
     l2_project,
     load_checkpoint,
     make_problem,
-    make_time_basis,
     save_checkpoint,
     solve_backward_dual,
     solve_forward,

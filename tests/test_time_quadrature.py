@@ -8,7 +8,6 @@ from dgac import (
     dual_stability_report,
     duality_identity_report,
     energy_trace,
-    make_time_basis,
     psi_chain_report,
     solve_backward_dual,
     solve_backward_psi,
