@@ -75,36 +75,41 @@ def slab_terms(u, a, b, rhs, basis: TimeBasis, problem: ProblemSpec, ops: SpaceO
     return reaction, lambda n, t0, tau: time_moments(basis, tau, rhs(t0 + tau * qp))
 
 
-def _march_backward(
+def _march(
     reaction,
     data,
-    u_source: DgSolution,
+    partition: TimePartition,
+    basis: TimeBasis,
     ops: SpaceOperators,
     lin_cfg: LinearSolveConfig,
+    initial: np.ndarray | None = None,
 ) -> DgSolution:
-    """Right-to-left sweep over a frozen-reaction slab problem, the
-    (reaction, data) of slab_terms.
+    """Slab march over a frozen-reaction slab problem, the (reaction, data)
+    of slab_terms; a reaction that returns None adds no reaction term.
 
-    Slab n solves the transposed slab operator with G^T and the frozen
-    reaction fields (including the 1/eps^2) at the time quadrature points;
-    its right-hand side is the incoming trace plus the data rows.  One LU
-    is carried from slab to slab: each slab first solves by defect
-    correction with it (factorize's solve(b, K)), and factors its own
-    operator only when that stops halving the residual before the
-    contract is met.  The last slab, where the march starts, always
-    factors.
+    With initial None the march is backward: right to left with G^T, the
+    trace coming in through chi(1) (zero on the last slab) and going out
+    through chi(0).  Otherwise it is forward from initial with G, in
+    through chi(0) and out through chi(1).  Slab n solves the slab operator
+    with the frozen reaction fields (including the 1/eps^2) at the time
+    quadrature points; its right-hand side is the incoming trace plus the
+    data rows.  One LU is carried from slab to slab: each slab first solves
+    with it (factorize's solve(b, K)) and factors its own operator only
+    when that reports stale.  The first slab of the march always factors.
     """
-    partition, basis = u_source.partition, u_source.basis
+    backward = initial is None
+    coupling, into, out = ((basis.G.T, basis.right_values, basis.left_values) if backward
+                           else (basis.G, basis.left_values, basis.right_values))
     M = ops.mass()
     pts = partition.points
-    slabs = [None] * partition.n_slabs
-    incoming = np.zeros(ops.space.n_free)
+    N = partition.n_slabs
+    slabs = [None] * N
+    incoming = np.zeros(ops.space.n_free) if backward else initial
     solve = None  # the factorization carried from slab to slab
-    for n in range(partition.n_slabs, 0, -1):
-        t0 = pts[n - 1]
-        tau = pts[n] - pts[n - 1]
-        K = ops.slab_operator(basis, basis.G.T, tau, reaction(n, t0, tau))
-        rhs = (np.outer(basis.right_values, M @ incoming) + data(n, t0, tau)).ravel()
+    for n in (range(N, 0, -1) if backward else range(1, N + 1)):
+        t0, tau = pts[n - 1], pts[n] - pts[n - 1]
+        K = ops.slab_operator(basis, coupling, tau, reaction(n, t0, tau))
+        rhs = (np.outer(into, M @ incoming) + data(n, t0, tau)).ravel()
         x = None if solve is None else solve(rhs, K)
         if x is None:  # none yet, or stale for this slab's operator
             solve = None  # release the previous factorization first
@@ -112,8 +117,8 @@ def _march_backward(
             x = solve(rhs)
         coeffs = x.reshape(basis.k + 1, -1)
         slabs[n - 1] = SlabSolution(coeffs)
-        incoming = basis.left_values @ coeffs
-    return DgSolution(partition=partition, basis=basis, space=ops.space, initial=None,
+        incoming = out @ coeffs
+    return DgSolution(partition=partition, basis=basis, space=ops.space, initial=initial,
                       slabs=slabs)
 
 
@@ -141,8 +146,8 @@ def solve_backward_dual(
     """
     ops = ops or SpaceOperators(u_h.space)
     lin_cfg = lin_cfg or LinearSolveConfig()
-    return _march_backward(*slab_terms(u_h, 1, 1, u_h, u_h.basis, problem, ops), u_h, ops,
-                           lin_cfg)
+    return _march(*slab_terms(u_h, 1, 1, u_h, u_h.basis, problem, ops), u_h.partition,
+                  u_h.basis, ops, lin_cfg)
 
 
 def solve_backward_psi(
@@ -174,8 +179,8 @@ def solve_backward_psi(
     lin_cfg = lin_cfg or LinearSolveConfig()
     data = rhs if isinstance(rhs, DgSolution) else (
         lambda times: ops.load(ops.time_fields(rhs, times)))
-    return _march_backward(*slab_terms(u_ref, 3, -1, data, shape.basis, problem, ops), shape,
-                           ops, lin_cfg)
+    return _march(*slab_terms(u_ref, 3, -1, data, shape.basis, problem, ops),
+                  shape.partition, shape.basis, ops, lin_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -381,42 +386,22 @@ def solve_parabolic_projection(
     da(t) (s, w) + a(t) (grad s, grad w), so the two spatial loads are
     assembled once.
 
-    One LU is carried from slab to slab, as in the backward marches.  A
-    slab whose step equals the factored one solves with it directly; any
-    other slab solves its own operator by defect correction with it
-    (factorize's solve(b, K)) and factors only when that reports stale.
-    Steps that differ in the last bit, as those of a uniform partition of
-    most T do, so share the first slab's factorization.
+    The slabs are one forward march without reaction, carrying one LU as
+    the backward marches do.  Steps that differ in the last bit, as those
+    of a uniform partition of most T do, so share the first slab's
+    factorization.
     """
     lin_cfg = lin_cfg or LinearSolveConfig()
-    M = ops.mass()
     mass_load = ops.load(exact.s)
     grad_load = ops.gradient_load(exact.grad_s)
-    p_prev = l2_project(lambda x: exact.value(0.0, x), ops, lin_cfg)
-    sol = DgSolution(partition=partition, basis=basis, space=ops.space, initial=p_prev)
-    pts = partition.points
-    solve, step = None, None  # the factorization carried from slab to slab, and its step
-    for n in range(1, partition.n_slabs + 1):
-        t0 = pts[n - 1]
-        tau = pts[n] - pts[n - 1]
+
+    def data(n, t0, tau):
         times = t0 + tau * basis.quad_points
         loads = np.outer(exact.da(times), mass_load) + np.outer(exact.a(times), grad_load)
-        rhs = np.outer(basis.left_values, M @ p_prev)
-        rhs += time_moments(basis, tau, loads)
-        rhs = rhs.ravel()
-        if tau == step:  # the factored operator itself
-            x = solve(rhs)
-        else:
-            K = ops.slab_operator(basis, basis.G, tau)
-            x = None if solve is None else solve(rhs, K)
-            if x is None:  # none yet, or stale for this slab's operator
-                solve = None  # release the previous factorization first
-                solve, step = factorize(K, lin_cfg), tau
-                x = solve(rhs)
-        coeffs = x.reshape(basis.k + 1, -1)
-        sol.slabs.append(SlabSolution(coeffs))
-        p_prev = basis.right_values @ coeffs
-    return sol
+        return time_moments(basis, tau, loads)
+
+    return _march(lambda n, t0, tau: None, data, partition, basis, ops, lin_cfg,
+                  initial=l2_project(lambda x: exact.value(0.0, x), ops, lin_cfg))
 
 
 def local_projection(

@@ -50,13 +50,12 @@ class NewtonConfig:
 
     Convergence is declared when the euclidean residual norm drops below
     abs_tol + rel_tol * (initial residual norm).  Backtracking halves the
-    step until the residual decreases, at most max_halvings times.
+    step until the residual decreases, at most 8 times (_MAX_HALVINGS).
     """
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-12
     max_iterations: int = 30
-    max_halvings: int = 8
 
     def __post_init__(self):
         if self.abs_tol < 0 or self.rel_tol < 0 or (self.abs_tol == 0 and self.rel_tol == 0):
@@ -225,6 +224,7 @@ class _SlabSystem:
 # _FULL_NEWTON_ZONE times the target every step is a full Newton step.
 _CONTRACTION = 0.1
 _FULL_NEWTON_ZONE = 1e4
+_MAX_HALVINGS = 8  # backtracking halvings of one Newton step
 
 
 def solve_slab(
@@ -270,7 +270,7 @@ def solve_slab(
             delta = solve(-r.ravel())
         delta = delta.reshape(U.shape)
         step = 1.0
-        for _ in range(newton_cfg.max_halvings + 1):
+        for _ in range(_MAX_HALVINGS + 1):
             trial = U + step * delta
             r_new = system.residual(trial)
             norm_new = float(np.linalg.norm(r_new))
@@ -280,7 +280,7 @@ def solve_slab(
         else:
             if exact:
                 raise NewtonError(
-                    f"{context}: line search stalled after {newton_cfg.max_halvings} halvings "
+                    f"{context}: line search stalled after {_MAX_HALVINGS} halvings "
                     f"at iteration {it + 1} (residual {norm_prev:.3e}, target {target:.3e})",
                     history,
                 )

@@ -68,7 +68,8 @@ def factorize(A, config: LinearSolveConfig | None = None):
     while each sweep at least halves the residual, so down to round-off.
     It returns the last x if ||b - K x|| <= rel_tolerance * ||b||, and
     None otherwise: the factorization is stale for K, and the caller
-    factors K instead.
+    factors K instead.  A K equal to the factored matrix (same shape, CSC
+    pattern and values) is solved directly, bit-identical to solve(b).
     """
     cfg = config or LinearSolveConfig()
     if not (sp.issparse(A) and A.format == "csc" and A.dtype == float):
@@ -84,7 +85,7 @@ def factorize(A, config: LinearSolveConfig | None = None):
         norm_b = float(np.linalg.norm(b))
         if norm_b == 0.0:
             return np.zeros_like(b)
-        if K is not None:
+        if K is not None and not _same_csc(K, A):
             x, r, rel = np.zeros_like(b), b, 1.0
             while rel > 0.0:  # an exact x ends the sweeps
                 x_next = x + lu.solve(r)
@@ -109,6 +110,13 @@ def factorize(A, config: LinearSolveConfig | None = None):
     return solve
 
 
+def _same_csc(K, A: sp.csc_array) -> bool:
+    """K is A entry for entry: a CSC matrix with A's shape, pattern and values."""
+    return K is A or (getattr(K, "format", None) == "csc" and K.shape == A.shape and all(
+        np.array_equal(getattr(K, part), getattr(A, part))
+        for part in ("data", "indices", "indptr")))
+
+
 # ---------------------------------------------------------------------------
 # smallest generalized eigenvalue
 
@@ -123,7 +131,10 @@ class EigenResult:
     shift: float
 
 
-def smallest_generalized_eigenvalue(A, M, shift: float, tol: float = 1e-10) -> EigenResult:
+_EIGEN_TOL = 1e-10  # ARPACK's relative accuracy
+
+
+def smallest_generalized_eigenvalue(A, M, shift: float) -> EigenResult:
     """Smallest eigenvalue of A v = lambda M v (A symmetric, M SPD).
 
     One shift-invert Lanczos solve (ARPACK through eigsh): A - shift*M is
@@ -131,8 +142,8 @@ def smallest_generalized_eigenvalue(A, M, shift: float, tol: float = 1e-10) -> E
     shift is found.  The shift must lie strictly below the smallest
     eigenvalue, so that the nearest one is the smallest; the pivot signs
     of the factorization check this.  For reaction-shifted stiffness forms
-    the assembled potential minimum certifies such a shift.  tol is
-    ARPACK's relative accuracy, iterations counts the solves with the
+    the assembled potential minimum certifies such a shift.  ARPACK runs
+    to relative accuracy _EIGEN_TOL, iterations counts the solves with the
     factorization and residual is ||A v - lambda M v||.
 
     A singular factorization, a shift not below the smallest eigenvalue,
@@ -167,7 +178,7 @@ def smallest_generalized_eigenvalue(A, M, shift: float, tol: float = 1e-10) -> E
     x = np.random.default_rng(0).standard_normal(n)  # fixed seed: deterministic output
     if n > 1:  # ARPACK needs n > 1; a single unknown is its own eigenvector
         try:
-            x = spla.eigsh(A, k=1, M=M, sigma=shift, v0=x, tol=tol,
+            x = spla.eigsh(A, k=1, M=M, sigma=shift, v0=x, tol=_EIGEN_TOL,
                            OPinv=spla.LinearOperator((n, n), matvec=op_inv, dtype=float))[1][:, 0]
         except spla.ArpackNoConvergence as exc:
             raise LinearSolveError(f"shift-invert Lanczos did not converge for n={n}") from exc

@@ -162,40 +162,14 @@ def make_problem(
     """
     if (manufactured is None) == (initial_profile is None):
         raise ValueError("give exactly one of manufactured or initial_profile")
-    if manufactured is not None:
-        if manufactured not in MANUFACTURED:
-            raise ValueError(
-                f"unknown manufactured solution {manufactured!r}; "
-                f"known: {sorted(MANUFACTURED)}"
-            )
-        exact = MANUFACTURED[manufactured]
-        if exact.dimension != dimension:
-            raise ValueError(
-                f"{manufactured!r} is {exact.dimension}d but config says {dimension}d"
-            )
-        return ProblemSpec(
-            dimension=dimension,
-            epsilon=epsilon,
-            T=T,
-            u0=lambda x: exact.value(0.0, x),
-            exact=exact,
-            name=manufactured,
-        )
-    if initial_profile not in PROFILES:
-        raise ValueError(
-            f"unknown initial profile {initial_profile!r}; known: {sorted(PROFILES)}"
-        )
-    prof = PROFILES[initial_profile]
-    if prof.dimension != dimension:
-        raise ValueError(
-            f"{initial_profile!r} is {prof.dimension}d but config says {dimension}d"
-        )
-    eps = epsilon
-    return ProblemSpec(
-        dimension=dimension,
-        epsilon=eps,
-        T=T,
-        u0=lambda x: prof.value(x, eps),
-        exact=None,
-        name=initial_profile,
-    )
+    name, registry, kind = ((manufactured, MANUFACTURED, "manufactured solution")
+                            if initial_profile is None
+                            else (initial_profile, PROFILES, "initial profile"))
+    if name not in registry:
+        raise ValueError(f"unknown {kind} {name!r}; known: {sorted(registry)}")
+    entry = registry[name]
+    if entry.dimension != dimension:
+        raise ValueError(f"{name!r} is {entry.dimension}d but config says {dimension}d")
+    if initial_profile is None:
+        return ProblemSpec(dimension, epsilon, T, lambda x: entry.value(0.0, x), entry, name)
+    return ProblemSpec(dimension, epsilon, T, lambda x: entry.value(x, epsilon), None, name)

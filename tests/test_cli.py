@@ -50,7 +50,7 @@ def _json_line(text):
 
 
 def _read_csv(path):
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     header = lines[0].split(",")
     rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
     return header, rows
@@ -104,6 +104,22 @@ _ILL_TYPED = [
 ]
 
 
+# Well-typed documents that the constructors cannot build, one or more of each
+# kind, as overrides of _base_doc: a problem of the other dimension, an
+# element degree above 2, too few time points, too low a spatial order, and
+# a final time so small that the slab ends of a uniform partition coincide.
+_UNBUILDABLE = [
+    ({"dimension": 2, "mesh": {"n_per_side": 2}}, r"'expsine' is 1d but config says 2d"),
+    ({"problem": {"initial_profile": "zero2d"}}, r"'zero2d' is 2d but config says 1d"),
+    ({"space": {"degree_l": 3}}, r"degree must be 1 or 2, got 3"),
+    ({"quadrature": {"time_points": 3}},
+     r"time quadrature with 3 points is not exact to degree 6"),
+    ({"space": {"degree_l": 2}, "quadrature": {"space_order": 7}},
+     r"must integrate degree 8 exactly, requested 7"),
+    ({"time": {"T": 5e-323, "N_slabs": 100}}, r"partition points must be strictly increasing"),
+]
+
+
 @pytest.mark.parametrize("doc, match", [
     ({"problem": {"manufactured": "expsine"}, "solver": {"linear": {"xyz": 1}}},
      r"unknown field 'solver\.linear\.xyz'"),
@@ -130,7 +146,7 @@ _ILL_TYPED = [
     ({"problem": {"manufactured": "expsine"}, "mesh": 7},
      "field 'mesh' must be an object"),
 ] + [(dict({"problem": {"manufactured": "expsine"}}, **bad), match)
-     for bad, match in _ILL_TYPED])
+     for bad, match in _ILL_TYPED + _UNBUILDABLE])
 def test_parse_config_rejects(doc, match):
     with pytest.raises(ConfigError, match=match):
         parse_config(doc)
@@ -304,6 +320,20 @@ def test_cli_ill_typed_config_exits_4(tmp_path, bad, match):
     code, out = run_cli(["solve", "--config", _write_cfg(tmp_path, _base_doc(tmp_path, **bad))])
     assert code == 4
     err = _json_line(out)
+    assert err["error"] == "config"
+    assert re.search(match, err["message"])
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+@pytest.mark.parametrize("bad, match", _UNBUILDABLE)
+def test_cli_unbuildable_config_exits_4_before_writing(tmp_path, command, bad, match):
+    code, out = run_cli([command, "--config",
+                         _write_cfg(tmp_path, _base_doc(tmp_path, **bad))])
+    assert code == 4
+    lines = [line for line in out.splitlines() if line.startswith("{")]
+    assert len(lines) == 1
+    err = json.loads(lines[0])
     assert err["error"] == "config"
     assert re.search(match, err["message"])
     assert not (tmp_path / "out").exists()

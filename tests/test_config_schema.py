@@ -1,6 +1,8 @@
 """Property tests of the typed config schema over drawn valid documents:
 the canonical dict round-trips, the hash ignores key order, and a value of
-the wrong type is rejected with its path named."""
+the wrong type is rejected with its path named.  Over drawn well-typed
+documents, valid or not, parse_config accepts exactly those that
+instantiate."""
 
 import copy
 import math
@@ -8,9 +10,10 @@ import re
 
 from hypothesis import given, settings, strategies as st
 
-from dgac import ConfigError, config_hash, parse_config
+from dgac import ConfigError, config_hash, instantiate, parse_config
 from dgac.config import config_to_dict
 from dgac.problems import MANUFACTURED, PROFILES
+from dgac.timebase import required_quad_points
 
 PROPERTY = settings(derandomize=True, max_examples=100, database=None, deadline=None)
 
@@ -19,6 +22,7 @@ POSITIVE_FLOAT = st.floats(1e-6, 1e3)
 NAME = st.text("ab_-./", max_size=8)
 PROBLEMS = ([{"manufactured": name} for name in sorted(MANUFACTURED)]
             + [{"initial_profile": name} for name in sorted(PROFILES)])
+REGISTRY = {**MANUFACTURED, **PROFILES}
 
 # Values of the wrong type for a leaf, keyed by the type of its drawn value
 # (a None leaf is an unset optional integer).
@@ -36,25 +40,61 @@ def _group(**fields):
     return st.fixed_dictionaries({}, optional=fields)
 
 
+def _problems(dim):
+    return [p for p in PROBLEMS if REGISTRY[next(iter(p.values()))].dimension == dim]
+
+
 @st.composite
 def documents(draw):
+    """Valid documents: each instantiates."""
     dim = draw(st.sampled_from([1, 2]))
     mesh_field = "n" if dim == 1 else "n_per_side"
-    doc = draw(st.fixed_dictionaries({"problem": st.sampled_from(PROBLEMS)}, optional={
+    doc = draw(st.fixed_dictionaries({"problem": st.sampled_from(_problems(dim))}, optional={
         "mesh": _group(**{mesh_field: st.none() | POSITIVE_INT}),
         "time": _group(T=POSITIVE_FLOAT, N_slabs=POSITIVE_INT, k=st.integers(0, 3)),
-        "space": _group(degree_l=st.integers(1, 3)),
+        "space": _group(degree_l=st.integers(1, 2)),
         "epsilon": POSITIVE_FLOAT,
         "solver": _group(newton_abs_tol=POSITIVE_FLOAT, newton_rel_tol=POSITIVE_FLOAT,
                          max_iter=POSITIVE_INT, linear=_group(rel_tolerance=POSITIVE_FLOAT)),
-        "quadrature": _group(time_points=st.none() | POSITIVE_INT,
-                             space_order=st.none() | POSITIVE_INT,
-                             allow_inexact=st.booleans()),
         "output": _group(directory=NAME, run_id=NAME),
     }))
+    k = doc.get("time", {}).get("k", 1)
+    degree = doc.get("space", {}).get("degree_l", 1)
+    quadrature = draw(_group(time_points=st.none() | st.integers(2 * k + 2, 64),
+                             space_order=st.none() | st.integers(4 * degree, 64),
+                             allow_inexact=st.booleans()))
+    if quadrature or draw(st.booleans()):
+        doc["quadrature"] = quadrature
     if dim == 2 or draw(st.booleans()):
         doc["dimension"] = dim
     return doc
+
+
+@st.composite
+def well_typed_documents(draw):
+    """Documents that pass the schema on a small run, whether they build or not."""
+    dim = draw(st.sampled_from([1, 2]))
+    return {
+        "dimension": dim,
+        "mesh": {"n" if dim == 1 else "n_per_side": 2},
+        "time": {"T": 0.5, "N_slabs": 2, "k": draw(st.integers(0, 3))},
+        "space": {"degree_l": draw(st.integers(1, 3))},
+        "problem": draw(st.sampled_from(PROBLEMS)),
+        "quadrature": {"time_points": draw(st.none() | st.integers(1, 14)),
+                       "space_order": draw(st.none() | st.integers(1, 14)),
+                       "allow_inexact": draw(st.booleans())},
+    }
+
+
+def _builds(doc):
+    """Whether the constructors accept doc: the problem's dimension, the element
+    degree, and the exactness of both quadratures."""
+    problem = REGISTRY[next(iter(doc["problem"].values()))]
+    k, degree, quad = doc["time"]["k"], doc["space"]["degree_l"], doc["quadrature"]
+    return (problem.dimension == doc["dimension"] and degree in (1, 2)
+            and (quad["time_points"] is None or quad["allow_inexact"]
+                 or quad["time_points"] >= required_quad_points(k))
+            and (quad["space_order"] is None or quad["space_order"] >= 4 * degree))
 
 
 def _shuffled(doc, rnd):
@@ -94,3 +134,16 @@ def test_wrong_type_leaf_is_rejected_with_its_path(doc, data):
         assert re.search(re.escape("'" + ".".join(path) + "'"), str(exc)), str(exc)
     else:
         raise AssertionError(f"accepted {group[path[-1]]!r} at {'.'.join(path)}")
+
+
+@settings(derandomize=True, max_examples=300, database=None, deadline=None)
+@given(doc=well_typed_documents())
+def test_parse_config_accepts_exactly_what_instantiates(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        assert not _builds(doc), doc
+    else:
+        assert _builds(doc), doc
+        disc = instantiate(cfg)
+        assert disc.problem.dimension == doc["dimension"]

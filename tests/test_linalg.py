@@ -243,3 +243,34 @@ def test_carried_factorization_stops_at_an_exact_solution():
     D = sp.diags_array([2.0, 4.0, 8.0]).tocsc()
     b = np.array([1.0, -2.0, 4.0])
     np.testing.assert_array_equal(factorize(D)(b, D), [0.5, -0.5, 0.5])
+    # D itself is solved directly; its CSR copy is not the factored matrix
+    # and goes through the sweeps
+    np.testing.assert_array_equal(factorize(D)(b, D.tocsr()), [0.5, -0.5, 0.5])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_factored_matrix_is_solved_directly(dim, monkeypatch):
+    K, _, b = _slab_system(dim, 1.0)
+    lu_solves = []
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            lu_solves.append(1)
+            return self.lu.solve(rhs)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: CountingLU(splu(*args, **kw)))
+    solve = factorize(K)
+    x = solve(b)
+    # an equal copy (same shape, CSC pattern and values): one LU solve, same bits
+    y = solve(b, K.copy())
+    assert len(lu_solves) == 2
+    np.testing.assert_array_equal(y, x)
+    # one value changed in the last bit is another matrix: defect correction
+    K_near = K.copy()
+    K_near.data[0] = np.nextafter(K_near.data[0], np.inf)
+    assert solve(b, K_near) is not None
+    assert len(lu_solves) >= 4
